@@ -13,7 +13,7 @@ import sys
 
 from . import tensor as T
 from .config import REQUIRED, parse_config_file, resolve
-from .data import SessionDataset, preprocess, read_events
+from .data import SessionDataset, preprocess, read_events, read_schema
 from .errors import (
     ConfigError,
     DataError,
@@ -209,13 +209,12 @@ def cmd_recommend(args) -> int:
     cfg = _resolved(args, known)
     if not os.path.exists(cfg["data"]):
         raise DataError(f"dataset not found: {cfg['data']}")
-    dataset = SessionDataset.load(cfg["data"])
-    schema = dataset.schema
+    schema = read_schema(cfg["data"])
     model = load_checkpoint(cfg["checkpoint"], schema.hash())
     item_ids = [s.strip() for s in cfg["items"].split(",") if s.strip()]
     if not item_ids:
         raise ConfigError("need at least one item in the session prefix")
-    unknown = [i for i in item_ids if i not in set(schema.item_vocabulary)]
+    unknown = [i for i in item_ids if not schema.has_item(i)]
     if unknown:
         raise VocabularyError(f"items not in the vocabulary: {', '.join(unknown)}")
     indices = [schema.item_index(i) for i in item_ids]

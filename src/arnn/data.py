@@ -73,6 +73,9 @@ class FieldSchema:
     def item_index(self, item_id: str) -> int:
         return self._item_index[item_id]
 
+    def has_item(self, item_id: str) -> bool:
+        return item_id in self._item_index
+
     def encode(self, attributes: dict[str, list[str]]) -> tuple[int, ...]:
         """Active positions of the concatenated one-hot vector, sorted.
 
@@ -112,14 +115,6 @@ class FieldSchema:
                 raise SchemaError(f"position {p} outside the one-hot layout")
             out[name].append(cats[local])
         return out
-
-    def split_positions_by_field(self, positions) -> list[list[int]]:
-        """Field-local indices of the active positions, one list per field."""
-        per_field: list[list[int]] = [[] for _ in self.fields]
-        for p in positions:
-            f = bisect.bisect_right(self.offsets, p) - 1
-            per_field[f].append(p - self.offsets[f])
-        return per_field
 
     def to_dict(self) -> dict:
         return {
@@ -178,17 +173,29 @@ class SessionDataset:
 
     @classmethod
     def load(cls, path) -> "SessionDataset":
+        """Read a saved dataset; every context position must lie in the schema's layout."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         schema = FieldSchema.from_dict(doc["schema"])
-        sessions = [
-            Session(
-                steps=[(tuple(ctx), item) for ctx, item in s["steps"]],
-                start_time=s["start"],
-            )
-            for s in doc["sessions"]
-        ]
+        width = schema.one_hot_length
+        sessions = []
+        for s in doc["sessions"]:
+            steps = [(tuple(ctx), item) for ctx, item in s["steps"]]
+            for ctx, _ in steps:
+                if ctx and not (min(ctx) >= 0 and max(ctx) < width):
+                    p = next(p for p in ctx if not 0 <= p < width)
+                    raise SchemaError(
+                        f"{path}: context position {p} outside the one-hot layout "
+                        f"of length {width}"
+                    )
+            sessions.append(Session(steps=steps, start_time=s["start"]))
         return cls(sessions=sessions, schema=schema)
+
+
+def read_schema(path) -> FieldSchema:
+    """The schema of a saved dataset, without building its sessions."""
+    with open(path, encoding="utf-8") as fh:
+        return FieldSchema.from_dict(json.load(fh)["schema"])
 
 
 # ---------------------------------------------------------------------------

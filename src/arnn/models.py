@@ -14,12 +14,16 @@ unused), a trainable merge layer (FC -> ReLU -> batch norm) over the
 concatenated features, and a fresh item-score projection.  During merge
 training only the merge layers and the encoder's batch-norm scale/shift
 receive optimizer updates; the encoder's batch-norm running statistics
-keep updating as well.
+keep updating as well.  Merge training feeds the frozen blocks' outputs to
+the head as graph constants; ``step_scores`` stays the differentiable path
+through every block.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -29,6 +33,16 @@ from .data import FieldSchema
 from .errors import CheckpointError, SchemaError, VocabularyError
 
 CHECKPOINT_VERSION = 1
+
+
+def _check_items(items, n_items: int) -> np.ndarray:
+    items = np.asarray(items, dtype=np.int64)
+    outside = items[(items < 0) | (items >= n_items)]
+    if outside.size:
+        raise VocabularyError(
+            f"item index {int(outside[0])} outside vocabulary of {n_items}"
+        )
+    return items
 
 
 class BatchNorm:
@@ -112,11 +126,7 @@ class GruSessionModel:
         Lanes whose boundary flag is set start from a zero hidden state.
         The carried state is detached: gradients do not flow across steps.
         """
-        prev_items = np.asarray(prev_items, dtype=np.int64)
-        if prev_items.size and prev_items.max() >= self.n_items:
-            raise VocabularyError(
-                f"item index {int(prev_items.max())} outside vocabulary of {self.n_items}"
-            )
+        prev_items = _check_items(prev_items, self.n_items)
         if lane_ids is None:
             lane_ids = np.arange(len(prev_items))
         if self.hidden is None:
@@ -205,41 +215,47 @@ class PnnEncoder:
         }
 
     def _split_contexts(self, contexts) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per field: flat local indices plus bag offsets over the batch."""
-        n_fields = len(self.field_sizes)
-        flat: list[list[int]] = [[] for _ in range(n_fields)]
-        offsets: list[list[int]] = [[0] for _ in range(n_fields)]
-        bounds = self.field_offsets + [self.field_offsets[-1] + self.field_sizes[-1]]
-        for ctx in contexts:
-            counts = [0] * n_fields
-            for p in ctx:
-                f = np.searchsorted(bounds, p, side="right") - 1
-                if not 0 <= f < n_fields:
-                    raise SchemaError(f"context position {p} outside the one-hot layout")
-                flat[f].append(p - self.field_offsets[f])
-                counts[f] += 1
-            for f in range(n_fields):
-                if counts[f] == 0:
-                    raise SchemaError(
-                        f"field {f} has no active position and no fallback slot"
-                    )
-                offsets[f].append(offsets[f][-1] + counts[f])
-        return [
-            (np.asarray(flat[f], dtype=np.int64), np.asarray(offsets[f], dtype=np.int64))
-            for f in range(n_fields)
-        ]
+        """Per field: flat local indices plus bag offsets over the batch.
 
-    def encode(self, contexts, prev_items, training: bool) -> T.Tensor:
-        """Context feature vector from the field embeddings and their products.
+        Within a field, indices keep batch order and each context's own order.
+        """
+        n_fields = len(self.field_sizes)
+        n_rows = len(contexts)
+        row_len = np.fromiter((len(ctx) for ctx in contexts), np.int64, n_rows)
+        positions = np.fromiter(itertools.chain.from_iterable(contexts), np.int64,
+                                int(row_len.sum()))
+        bounds = self.field_offsets + [self.field_offsets[-1] + self.field_sizes[-1]]
+        fields = np.searchsorted(bounds, positions, side="right") - 1
+        rows = np.repeat(np.arange(n_rows), row_len)
+        outside = (fields < 0) | (fields >= n_fields)
+        counts = np.bincount(rows[~outside] * n_fields + fields[~outside],
+                             minlength=n_rows * n_fields).reshape(n_rows, n_fields)
+        # report the first offending context; within it a stray position
+        # comes before an empty field
+        bad_pos = np.flatnonzero(outside)
+        empty_rows = np.flatnonzero((counts == 0).any(axis=1))
+        if bad_pos.size and (not empty_rows.size or rows[bad_pos[0]] <= empty_rows[0]):
+            raise SchemaError(
+                f"context position {positions[bad_pos[0]]} outside the one-hot layout"
+            )
+        if empty_rows.size:
+            f = int(np.flatnonzero(counts[empty_rows[0]] == 0)[0])
+            raise SchemaError(f"field {f} has no active position and no fallback slot")
+        order = np.argsort(fields, kind="stable")
+        local = positions[order] - np.asarray(self.field_offsets, dtype=np.int64)[fields[order]]
+        per_field = np.split(local, np.cumsum(counts.sum(axis=0))[:-1])
+        zero = np.zeros((1, n_fields), dtype=np.int64)
+        offsets = np.concatenate([zero, np.cumsum(counts, axis=0)])
+        return [(per_field[f], offsets[:, f].copy()) for f in range(n_fields)]
+
+    def features(self, contexts, prev_items) -> T.Tensor:
+        """Pre-norm context features: FC -> ReLU over the field embeddings
+        and their pairwise products.
 
         Multi-valued fields average their active category embeddings so each
         field contributes exactly one embedding to the product layer.
         """
-        prev_items = np.asarray(prev_items, dtype=np.int64)
-        if prev_items.size and prev_items.max() >= self.n_items:
-            raise VocabularyError(
-                f"item index {int(prev_items.max())} outside vocabulary of {self.n_items}"
-            )
+        prev_items = _check_items(prev_items, self.n_items)
         per_field = self._split_contexts(contexts)
         embeds = [
             T.embedding_bag_mean(table, flat, offs)
@@ -248,9 +264,12 @@ class PnnEncoder:
         embeds.append(T.embedding(self.item_embedding, prev_items))
         linear = T.concat(embeds, axis=1)
         products = T.pairwise_inner(embeds)
-        h = T.relu(T.affine(T.concat([linear, products], axis=1),
-                            self.fc_weight, self.fc_bias))
-        return self.bn(h, training)
+        return T.relu(T.affine(T.concat([linear, products], axis=1),
+                               self.fc_weight, self.fc_bias))
+
+    def encode(self, contexts, prev_items, training: bool) -> T.Tensor:
+        """Context feature vector: the batch-normalised features."""
+        return self.bn(self.features(contexts, prev_items), training)
 
     def scores(self, encoded: T.Tensor) -> T.Tensor:
         return T.affine(encoded, self.score_weight, self.score_bias)
@@ -310,13 +329,18 @@ class ArnnModel:
     def reset(self, n_lanes: int) -> None:
         self.gru.reset(n_lanes)
 
-    def step_scores(self, prev_items, contexts, boundaries, lane_ids=None,
-                    training: bool = False) -> T.Tensor:
-        c = self.pnn.encode(contexts, prev_items, training)
-        h = self.gru.step(prev_items, boundaries, lane_ids)
+    def head(self, c, h, training: bool) -> T.Tensor:
+        """Item scores from context features c and GRU hidden states h."""
         m = self.bn(T.relu(T.affine(T.concat([c, h], axis=1),
                                     self.merge_weight, self.merge_bias)), training)
         return T.affine(m, self.out_weight, self.out_bias)
+
+    def step_scores(self, prev_items, contexts, boundaries, lane_ids=None,
+                    training: bool = False) -> T.Tensor:
+        """One step through every block; gradients reach frozen parameters too."""
+        c = self.pnn.encode(contexts, prev_items, training)
+        h = self.gru.step(prev_items, boundaries, lane_ids)
+        return self.head(c, h, training)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +351,11 @@ def save_checkpoint(path, model, schema_hash: str) -> None:
     """Write the model to an .npz archive with a JSON meta member.
 
     Stores every parameter (frozen ones included) and the batch-norm
-    running statistics, so frozen blocks round-trip byte-identically.
+    running statistics, so frozen blocks round-trip byte-identically.  The
+    archive is written to a temporary file in the same directory and then
+    renamed over `path`, so an interrupted write leaves any previous
+    checkpoint intact.  As with ``np.savez``, ``.npz`` is appended to a path
+    without it.
     """
     arrays = {}
     for p in model.parameters():
@@ -343,7 +371,18 @@ def save_checkpoint(path, model, schema_hash: str) -> None:
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    np.savez(path, **arrays)
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint_meta(path) -> dict:

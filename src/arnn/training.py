@@ -6,6 +6,12 @@ negatives, then a merge head is trained on top of both with their
 parameters frozen (the encoder's batch-norm scale/shift stays live).
 Hidden state carries across batch steps but is detached, so
 backpropagation is truncated to a single step.
+
+Merge training treats the frozen blocks as constants: the GRU hidden
+states and the encoder's pre-norm features enter the graph as values, so
+backward and the optimizer touch only the encoder's batch norm and the
+merge head.  ``ArnnModel.step_scores`` remains the differentiable path
+through every block; both give the same losses and checkpoints.
 """
 
 from __future__ import annotations
@@ -235,8 +241,10 @@ def _stage_logits(model, batch, active, training: bool, rng) -> T.Tensor:
     contexts = [batch.contexts[lane] for lane in active]
     if isinstance(model, PnnEncoder):
         return model.scores(model.encode(contexts, prev, training=training))
-    return model.step_scores(prev, contexts, boundaries, lane_ids=active,
-                             training=training)
+    pnn, gru = model.pnn, model.gru
+    c = pnn.bn(T.constant(pnn.features(contexts, prev).data), training)
+    h = T.constant(gru.step(prev, boundaries, lane_ids=active).data)
+    return model.head(c, h, training)
 
 
 def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
@@ -254,7 +262,8 @@ def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
     model = _build_stage_model(plan, dataset, rng, gru_checkpoint, pnn_checkpoint)
     ckpt_path = os.path.join(out_dir, f"{plan.stage}.npz")
     save_checkpoint(ckpt_path, model, schema_hash)
-    optimizer = Adagrad(model.parameters(), plan.learning_rate, plan.weight_decay)
+    optimizer = Adagrad([p for p in model.parameters() if not p.frozen],
+                        plan.learning_rate, plan.weight_decay)
     result = StageResult(checkpoint_path=ckpt_path)
     bad_epochs = 0
     for epoch in range(plan.epochs):

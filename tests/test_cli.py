@@ -156,6 +156,18 @@ def test_recommend_unknown_item_exits_3(synth_dir, capsys):
     assert "no_such_item" in capsys.readouterr().err
 
 
+def test_evaluate_out_of_layout_context_exits_3(synth_dir, tmp_path, capsys):
+    doc = json.loads((synth_dir["data"] / "test.json").read_text())
+    width = sum(len(cats) for _, cats in doc["schema"]["fields"])
+    doc["sessions"][0]["steps"][0][0].append(width)
+    bad = tmp_path / "test.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["evaluate", "--data", str(bad), "--checkpoints",
+                 str(synth_dir["ckpt"]), "--systems", "gru"])
+    assert code == 3
+    assert f"position {width} outside" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path, synth_dir):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sessions=5\nnot_a_key=1\n")

@@ -332,6 +332,27 @@ def test_dataset_file_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("position", [-1, 2, 7])
+def test_dataset_load_rejects_out_of_layout_context(tmp_path, position):
+    ds = D.SessionDataset([D.Session([((0,), 1), ((1,), 2)], 100)], _schema(5))
+    path = tmp_path / "ds.json"
+    ds.save(path)
+    doc = json.loads(path.read_text())
+    doc["sessions"][0]["steps"][1][0] = [1, position]  # layout is [0, 2)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"position {position} outside"):
+        D.SessionDataset.load(path)
+
+
+def test_read_schema_matches_full_load(tmp_path):
+    ds = D.SessionDataset([D.Session([((0,), 1), ((1,), 2)], 100)], _schema(5))
+    path = tmp_path / "ds.json"
+    ds.save(path)
+    schema = D.read_schema(path)
+    assert schema.hash() == D.SessionDataset.load(path).schema.hash()
+    assert schema.has_item("i4") and not schema.has_item("i5")
+
+
 def test_preprocess_end_to_end():
     day = 86400
     events = []

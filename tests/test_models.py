@@ -122,6 +122,13 @@ def test_gru_vocabulary_error():
         model.step([4], boundaries=[True])
 
 
+def test_gru_negative_item_rejected():
+    model = GruSessionModel(5, 3)
+    model.reset(2)
+    with pytest.raises(VocabularyError, match="item index -1"):
+        model.step([2, -1], boundaries=[True, True])
+
+
 def test_gru_scores_identity_projection():
     model = small_gru(n_items=3, hidden=3)
     model.out_weight.value[...] = np.eye(3)
@@ -248,6 +255,64 @@ def test_pnn_vocabulary_error():
         pnn.encode([(0, 3)], [4], training=False)
 
 
+def test_pnn_negative_item_rejected():
+    pnn = small_pnn(n_items=4)
+    with pytest.raises(VocabularyError, match="item index -1"):
+        pnn.encode([(0, 3), (1, 4)], [0, -1], training=False)
+
+
+def split_contexts_reference(pnn, contexts):
+    """One position at a time: field by bisection, appended in batch order."""
+    n_fields = len(pnn.field_sizes)
+    flat = [[] for _ in range(n_fields)]
+    offsets = [[0] for _ in range(n_fields)]
+    for ctx in contexts:
+        counts = [0] * n_fields
+        for p in ctx:
+            f = max(f for f in range(n_fields) if pnn.field_offsets[f] <= p)
+            flat[f].append(p - pnn.field_offsets[f])
+            counts[f] += 1
+        for f in range(n_fields):
+            offsets[f].append(offsets[f][-1] + counts[f])
+    return [(np.array(flat[f], dtype=np.int64), np.array(offsets[f], dtype=np.int64))
+            for f in range(n_fields)]
+
+
+def test_split_contexts_matches_reference_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        sizes = rng.integers(1, 6, size=int(rng.integers(1, 5))).tolist()
+        pnn = small_pnn(field_sizes=sizes)
+        contexts = []
+        for _ in range(int(rng.integers(1, 8))):
+            ctx = []
+            for off, size in zip(pnn.field_offsets, sizes):
+                k = int(rng.integers(1, size + 1))
+                ctx.extend(int(off + i) for i in rng.choice(size, k, replace=False))
+            rng.shuffle(ctx)  # positions need not be grouped by field
+            contexts.append(tuple(ctx))
+        got = pnn._split_contexts(contexts)
+        want = split_contexts_reference(pnn, contexts)
+        assert len(got) == len(want)
+        for (flat, offs), (ref_flat, ref_offs) in zip(got, want):
+            assert flat.dtype == offs.dtype == np.int64
+            assert flat.tolist() == ref_flat.tolist()
+            assert offs.tolist() == ref_offs.tolist()
+
+
+@pytest.mark.parametrize("contexts, message", [
+    ([(0, 3), (1, 5)], "position 5 outside"),          # past the end
+    ([(0, 3), (-1, 0, 4)], "position -1 outside"),     # negative
+    ([(0, 3), (1,)], "field 1 has no active position"),
+    ([(3,), (0, 7)], "field 0 has no active position"),  # earlier context first
+    ([(0, 3), (2, 9)], "position 9 outside"),          # stray before empty field
+])
+def test_split_contexts_errors(contexts, message):
+    pnn = small_pnn(field_sizes=(3, 2))
+    with pytest.raises(SchemaError, match=message):
+        pnn._split_contexts(contexts)
+
+
 # ---------------------------------------------------------------------------
 # ARNN
 
@@ -290,6 +355,27 @@ def test_arnn_forward_shape_and_gradient_routing():
     assert np.abs(model.gru.out_weight.grad).sum() == 0.0  # head unused by merge path
     assert np.abs(model.gru.w_update.grad).sum() > 0.0
     assert np.abs(model.merge_weight.grad).sum() > 0.0
+
+
+def test_arnn_head_on_constant_features_matches_step_scores():
+    ref, fast = build_arnn(seed=3), build_arnn(seed=3)
+    ref.reset(3)
+    fast.reset(3)
+    ctx = contexts_for(ref.pnn, np.random.default_rng(8), 3)
+    prev, first = [0, 1, 2], [True, True, True]
+    want = ref.step_scores(prev, ctx, first, training=True)
+    c = fast.pnn.bn(T.constant(fast.pnn.features(ctx, prev).data), True)
+    h = T.constant(fast.gru.step(prev, first).data)
+    got = fast.head(c, h, True)
+    assert got.data.tobytes() == want.data.tobytes()
+    T.backward(T.sum_all(want))
+    T.backward(T.sum_all(got))
+    for p, q in zip(ref.parameters(), fast.parameters()):
+        if p.frozen:
+            assert not q.grad.any(), q.name  # constants: nothing flows back
+        else:
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+    assert ref.pnn.bn.running_mean.tobytes() == fast.pnn.bn.running_mean.tobytes()
 
 
 def test_arnn_vocab_mismatch_rejected():
@@ -345,6 +431,27 @@ def test_checkpoint_dimension_mismatch_names_tensor(tmp_path):
     np.savez(path, **stored)
     with pytest.raises(CheckpointError, match="gru/w_update"):
         load_checkpoint(path, "a" * 64)
+
+
+def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, small_gru(seed=1), "a" * 64)
+    before = path.read_bytes()
+
+    def torn_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, small_gru(seed=2), "a" * 64)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]
+
+
+def test_checkpoint_appends_npz_suffix(tmp_path):
+    save_checkpoint(tmp_path / "m", small_gru(), "a" * 64)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]
 
 
 def test_checkpoint_raw_bytes_stable(tmp_path):

@@ -6,7 +6,8 @@ from arnn import tensor as T
 from arnn.batching import MiniBatch, negatives_for
 from arnn.data import FieldSchema, Session, SessionDataset
 from arnn.errors import DataError, NumericError, PrerequisiteError
-from arnn.models import load_checkpoint
+from arnn import training as training_module
+from arnn.models import ArnnModel, load_checkpoint, read_raw_tensor_bytes
 from arnn.training import (
     Adagrad,
     EpochStats,
@@ -271,6 +272,32 @@ def test_run_stage_merge_keeps_frozen_blocks(tmp_path):
     merged = load_checkpoint(tmp_path / "merge.npz")
     for p, q in zip(gru_before.parameters(), merged.gru.parameters()):
         assert p.value.tobytes() == q.value.tobytes(), p.name
+
+
+def test_merge_on_constant_features_matches_step_scores(tmp_path, monkeypatch):
+    ds = toy_dataset(context_driven=True)
+    run_stage(small_plan("gru", epochs=2), ds, tmp_path)
+    run_stage(small_plan("pnn", epochs=2), ds, tmp_path)
+    pretrained = dict(gru_checkpoint=tmp_path / "gru.npz",
+                      pnn_checkpoint=tmp_path / "pnn.npz")
+    fast = run_stage(small_plan("merge", epochs=3), ds, tmp_path / "fast", **pretrained)
+
+    constant_path = training_module._stage_logits
+
+    def through_step_scores(model, batch, active, training, rng):
+        if not isinstance(model, ArnnModel):
+            return constant_path(model, batch, active, training, rng)
+        return model.step_scores(batch.prev_items[active],
+                                 [batch.contexts[lane] for lane in active],
+                                 batch.session_boundary[active], lane_ids=active,
+                                 training=training)
+
+    monkeypatch.setattr(training_module, "_stage_logits", through_step_scores)
+    ref = run_stage(small_plan("merge", epochs=3), ds, tmp_path / "ref", **pretrained)
+    assert [h.train_loss for h in fast.history] == [h.train_loss for h in ref.history]
+    assert history_tsv(fast.history) == history_tsv(ref.history)
+    assert (read_raw_tensor_bytes(fast.checkpoint_path)
+            == read_raw_tensor_bytes(ref.checkpoint_path))
 
 
 def test_run_stage_deterministic_history(tmp_path):
