@@ -8,6 +8,7 @@ validates it fully before touching the filesystem.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -35,6 +36,20 @@ def _resolved(args, known: dict) -> dict:
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {k: getattr(args, k, None) for k in known}
     return resolve(known, file_values, overrides)
+
+
+@contextlib.contextmanager
+def _finite_guard(enabled: bool):
+    """Check every op output for NaN/Inf while the command runs.
+
+    The guard is module state, so it is switched off again on the way out:
+    callers of ``main`` in the same process get the default back.
+    """
+    T.set_check_finite(enabled)
+    try:
+        yield
+    finally:
+        T.set_check_finite(False)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +124,7 @@ def cmd_train(args) -> int:
         "epochs": (int, None),
         "gru_checkpoint": (str, None),
         "pnn_checkpoint": (str, None),
+        "check_finite": (bool, False),
     }
     cfg = _resolved(args, known)
     if cfg["stage"] not in STAGES:
@@ -122,8 +138,9 @@ def cmd_train(args) -> int:
     dataset = SessionDataset.load(cfg["data"])
     gru_ckpt = cfg["gru_checkpoint"] or os.path.join(cfg["out"], "gru.npz")
     pnn_ckpt = cfg["pnn_checkpoint"] or os.path.join(cfg["out"], "pnn.npz")
-    result = run_stage(plan, dataset, cfg["out"],
-                       gru_checkpoint=gru_ckpt, pnn_checkpoint=pnn_ckpt)
+    with _finite_guard(cfg["check_finite"]):
+        result = run_stage(plan, dataset, cfg["out"],
+                           gru_checkpoint=gru_ckpt, pnn_checkpoint=pnn_ckpt)
     history_path = os.path.join(cfg["out"], f"{cfg['stage']}_history.tsv")
     with open(history_path, "w", encoding="utf-8") as fh:
         fh.write(history_tsv(result.history, k=plan.eval_k))
@@ -154,6 +171,7 @@ def cmd_evaluate(args) -> int:
         "systems": (str, "itemknn,gru,pnn,arnn"),
         "k": (int, 20),
         "out": (str, None),
+        "check_finite": (bool, False),
     }
     cfg = _resolved(args, known)
     systems = [s.strip() for s in cfg["systems"].split(",") if s.strip()]
@@ -171,9 +189,10 @@ def cmd_evaluate(args) -> int:
     test = SessionDataset.load(cfg["data"])
     train = SessionDataset.load(cfg["train_data"]) if cfg["train_data"] else None
     rows = []
-    for name in systems:
-        system = _load_system(name, cfg["checkpoints"], test.schema.hash(), train)
-        rows.append(evaluate_system(system, test, k=cfg["k"], name=name))
+    with _finite_guard(cfg["check_finite"]):
+        for name in systems:
+            system = _load_system(name, cfg["checkpoints"], test.schema.hash(), train)
+            rows.append(evaluate_system(system, test, k=cfg["k"], name=name))
     report = EvalReport(rows)
     print(report.format_table())
     if cfg["out"]:
@@ -283,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--gru-checkpoint", dest="gru_checkpoint")
     p.add_argument("--pnn-checkpoint", dest="pnn_checkpoint")
+    p.add_argument("--check-finite", dest="check_finite", action="store_true",
+                   default=None, help="fail with exit code 4 on the first NaN or Inf")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score systems on a test dataset")
@@ -293,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems")
     p.add_argument("--k", type=int)
     p.add_argument("--out")
+    p.add_argument("--check-finite", dest="check_finite", action="store_true",
+                   default=None, help="fail with exit code 4 on the first NaN or Inf")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("recommend", help="top-k next items for a session prefix")

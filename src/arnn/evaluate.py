@@ -86,28 +86,56 @@ class ItemKnnIndex:
         return self.sim[prev_item]
 
 
+# rows of the item-KNN table built at a time: bounds the [rows, V]
+# co-occurrence and sort temporaries, so only the [V, V] result is held whole
+KNN_BLOCK_ROWS = 256
+
+
 def build_itemknn(train: SessionDataset, lam: float = 20.0, top_m: int = 100
                   ) -> ItemKnnIndex:
-    """sim(i,j) = |sessions with both| / (sqrt(n_i) * sqrt(n_j) + lam)."""
+    """sim(i,j) = |sessions with both| / (sqrt(n_i) * sqrt(n_j) + lam).
+
+    Co-occurrences are counted from the item pairs within each session, not
+    from a [sessions, V] incidence product, and the table is filled a block
+    of rows at a time.
+    """
     if not train.sessions:
         raise EvaluationError("cannot build an item index from an empty dataset")
     n_items = len(train.schema.item_vocabulary)
-    incidence = np.zeros((len(train.sessions), n_items))
-    for row, session in enumerate(train.sessions):
-        for _, item in session.steps:
-            incidence[row, item] = 1.0
-    co = incidence.T @ incidence
-    counts = np.diag(co).copy()
-    denom = np.sqrt(counts)[:, None] * np.sqrt(counts)[None, :] + lam
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sim = np.where(denom > 0, co / denom, 0.0)
-    np.fill_diagonal(sim, 0.0)
-    if top_m < n_items:
-        kept = np.zeros_like(sim)
-        for i in range(n_items):
-            top = np.argsort(-sim[i], kind="stable")[:top_m]
-            kept[i, top] = sim[i, top]
-        sim = kept
+    sessions = train.sessions
+    incidence = np.zeros((len(sessions), n_items), dtype=bool)
+    incidence[np.repeat(np.arange(len(sessions)), [len(s.steps) for s in sessions]),
+              [item for s in sessions for _, item in s.steps]] = True
+    root = np.sqrt(incidence.sum(axis=0))
+    # each session's distinct items, session by session
+    session, item = np.divmod(np.flatnonzero(incidence), n_items)
+    basket_size = incidence.sum(axis=1)
+    basket_begin = np.cumsum(basket_size) - basket_size
+    # every ordered pair (i, j) of items sharing a session, i == j included,
+    # as the key i * V + j: entry e pairs with each entry of its own basket
+    size = basket_size[session]
+    partner = np.repeat(basket_begin[session] - (np.cumsum(size) - size), size)
+    partner += np.arange(len(partner))
+    key = np.repeat(item, size)
+    key *= n_items
+    key += item[partner]
+    del partner
+    sim = np.zeros((n_items, n_items))
+    for start in range(0, n_items, KNN_BLOCK_ROWS):
+        stop = min(start + KNN_BLOCK_ROWS, n_items)
+        rows = np.arange(stop - start)
+        lo, hi = start * n_items, stop * n_items
+        co = np.bincount(key[(key >= lo) & (key < hi)] - lo,
+                         minlength=hi - lo).reshape(len(rows), n_items)
+        denom = root[start:stop, None] * root[None, :] + lam
+        with np.errstate(invalid="ignore", divide="ignore"):
+            part = np.where(denom > 0, co / denom, 0.0)
+        part[rows, rows + start] = 0.0
+        if top_m < n_items:
+            top = np.argsort(-part, axis=1, kind="stable")[:, :top_m]
+            sim[start + rows[:, None], top] = part[rows[:, None], top]
+        else:
+            sim[start:stop] = part
     return ItemKnnIndex(sim=sim, lam=lam, top_m=top_m)
 
 

@@ -45,6 +45,13 @@ def _check_items(items, n_items: int) -> np.ndarray:
     return items
 
 
+def _item_scores(x, weight, bias, cols) -> T.Tensor:
+    """Scores of every item, or of the item columns `cols` only."""
+    if cols is None:
+        return T.affine(x, weight, bias)
+    return T.affine_columns(x, weight, bias, cols)
+
+
 class BatchNorm:
     """Batch normalization layer owning scale/shift and running statistics."""
 
@@ -147,11 +154,12 @@ class GruSessionModel:
         return h
 
     def scores(self, hidden: T.Tensor, training: bool = False,
-               rng: np.random.Generator | None = None) -> T.Tensor:
+               rng: np.random.Generator | None = None, cols=None) -> T.Tensor:
+        """Item scores from hidden states; all items, or the columns `cols`."""
         h = hidden
         if training and self.dropout > 0:
             h = T.dropout(h, self.dropout, rng)
-        return T.affine(h, self.out_weight, self.out_bias)
+        return _item_scores(h, self.out_weight, self.out_bias, cols)
 
 
 class PnnEncoder:
@@ -271,8 +279,9 @@ class PnnEncoder:
         """Context feature vector: the batch-normalised features."""
         return self.bn(self.features(contexts, prev_items), training)
 
-    def scores(self, encoded: T.Tensor) -> T.Tensor:
-        return T.affine(encoded, self.score_weight, self.score_bias)
+    def scores(self, encoded: T.Tensor, cols=None) -> T.Tensor:
+        """Item scores from encoded contexts; all items, or the columns `cols`."""
+        return _item_scores(encoded, self.score_weight, self.score_bias, cols)
 
 
 class ArnnModel:
@@ -329,11 +338,12 @@ class ArnnModel:
     def reset(self, n_lanes: int) -> None:
         self.gru.reset(n_lanes)
 
-    def head(self, c, h, training: bool) -> T.Tensor:
-        """Item scores from context features c and GRU hidden states h."""
+    def head(self, c, h, training: bool, cols=None) -> T.Tensor:
+        """Item scores from context features c and GRU hidden states h; all
+        items, or the columns `cols`."""
         m = self.bn(T.relu(T.affine(T.concat([c, h], axis=1),
                                     self.merge_weight, self.merge_bias)), training)
-        return T.affine(m, self.out_weight, self.out_bias)
+        return _item_scores(m, self.out_weight, self.out_bias, cols)
 
     def step_scores(self, prev_items, contexts, boundaries, lane_ids=None,
                     training: bool = False) -> T.Tensor:
@@ -383,11 +393,6 @@ def save_checkpoint(path, model, schema_hash: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def read_checkpoint_meta(path) -> dict:
-    with np.load(path) as zf:
-        return json.loads(bytes(zf["meta"]))
 
 
 def read_raw_tensor_bytes(path) -> dict[str, bytes]:

@@ -7,9 +7,14 @@ buffers that fed it.  Gradients accumulate across calls until explicitly
 zeroed, which is what truncated backpropagation needs.
 
 Only the broadcasting the model code actually uses is supported (bias
-rows, per-row scalars); there are no GPU kernels, sparse layouts or graph
-rewrites.  float64 is the default so finite-difference checks have
-headroom; pass float32 arrays for speed.
+rows, per-row scalars); there are no GPU kernels or graph rewrites.
+float64 is the default so finite-difference checks have headroom; pass
+float32 arrays for speed.
+
+Gradients stay dense arrays, but a Parameter records where backward wrote
+into them: ``embedding`` marks the rows it gathered and ``affine_columns``
+the weight columns and bias entries it read, every other op marks the whole
+tensor.  An optimizer can then update only the touched slices.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ def set_check_finite(enabled: bool) -> None:
 class Tensor:
     """Immutable dense array node in a computation graph."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_needs_grad")
+    __slots__ = ("data", "grad", "param", "_parents", "_backward", "_needs_grad")
 
     def __init__(self, data, parents=(), backward=None, needs_grad=None):
         if isinstance(data, np.ndarray):
@@ -45,6 +50,7 @@ class Tensor:
             needs_grad = any(p._needs_grad for p in self._parents)
         self._needs_grad = needs_grad
         self.grad = None
+        self.param = None  # the Parameter behind a leaf, which records touched entries
 
     @property
     def shape(self):
@@ -64,32 +70,78 @@ class Parameter:
     ``grad`` and ``accumulator`` always share the value's shape.  A frozen
     parameter still receives gradients from backward(); optimizers must
     leave its value untouched.
+
+    The parameter also records which entries backward wrote into since the
+    gradient was last zeroed (see ``touched``).  Reading ``grad`` counts as
+    writing all of it, because the caller may set the gradient by hand.
     """
 
-    __slots__ = ("value", "grad", "accumulator", "frozen", "name")
+    __slots__ = ("value", "_grad", "accumulator", "frozen", "name", "_marks")
 
     def __init__(self, value, name: str = "", frozen: bool = False):
         arr = np.asarray(value)
         if arr.dtype.kind != "f":
             arr = arr.astype(DEFAULT_DTYPE)
         self.value = arr.copy()
-        self.grad = np.zeros_like(self.value)
+        self._grad = np.zeros_like(self.value)
         self.accumulator = np.zeros_like(self.value)
         self.frozen = frozen
         self.name = name
+        # axis -> bool mask of the indices written along it; None: everything
+        self._marks: dict[int, np.ndarray] | None = {}
 
     @property
     def shape(self):
         return self.value.shape
 
+    @property
+    def grad(self) -> np.ndarray:
+        self._marks = None
+        return self._grad
+
+    def mark(self, axis: int | None = None, index=None) -> None:
+        """Record a gradient write at `index` along `axis` (None: anywhere)."""
+        if self._marks is None:
+            return
+        if axis is None:
+            self._marks = None
+            return
+        mask = self._marks.get(axis)
+        if mask is None:
+            mask = self._marks[axis] = np.zeros(self.value.shape[axis], dtype=bool)
+        mask[index] = True
+
+    def touched(self):
+        """Index expression covering every entry whose gradient may be nonzero.
+
+        ``...`` when the whole tensor may be; otherwise the sorted distinct
+        indices written along one axis (empty when nothing was written).
+        Writes along two different axes count as the whole tensor, and so
+        does anything about a 0-d value.
+        """
+        if self._marks is None or len(self._marks) > 1 or self.value.ndim == 0:
+            return ...
+        if not self._marks:
+            return (np.empty(0, dtype=np.int64),)
+        (axis, mask), = self._marks.items()
+        return (slice(None),) * axis + (np.flatnonzero(mask),)
+
+    def touched_grad(self):
+        """``touched()`` and the gradient there (a copy unless that is
+        everything); unlike ``grad``, this does not count as a write."""
+        where = self.touched()
+        return where, self._grad[where]
+
     def as_tensor(self) -> Tensor:
         """Leaf node whose grad buffer is this parameter's (shared reference)."""
         t = Tensor(self.value, needs_grad=True)
-        t.grad = self.grad
+        t.grad = self._grad
+        t.param = self
         return t
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        self._grad[self.touched()] = 0.0
+        self._marks = {}
 
     def __repr__(self):
         return f"Parameter({self.name or '?'}, shape={self.value.shape}, frozen={self.frozen})"
@@ -114,11 +166,22 @@ def _node(data, parents, backward, op: str) -> Tensor:
     return Tensor(data, parents=parents, backward=backward)
 
 
+def _grad_buffer(t: Tensor, axis: int | None = None, index=None) -> np.ndarray:
+    """t's gradient buffer for a write at `index` along `axis` (None: anywhere)."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    if t.param is not None:
+        t.param.mark(axis, index)
+    return t.grad
+
+
 def _acc(t: Tensor, g) -> None:
     if not t._needs_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
+    elif t.param is not None:
+        t.param.mark()
     t.grad += g
 
 
@@ -210,13 +273,18 @@ def matmul(a, b) -> Tensor:
     return _node(out, (a, b), bwd, "matmul")
 
 
-def affine(x, weight, bias) -> Tensor:
-    """x[B,I] @ weight[I,O] + bias[O]."""
+def _affine_inputs(x, weight, bias) -> tuple[Tensor, Tensor, Tensor]:
     x, w, b = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"affine shapes do not agree: input {x.data.shape}, weight {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"affine bias shape {b.data.shape} does not match weight {w.data.shape}")
+    return x, w, b
+
+
+def affine(x, weight, bias) -> Tensor:
+    """x[B,I] @ weight[I,O] + bias[O]."""
+    x, w, b = _affine_inputs(x, weight, bias)
     out = x.data @ w.data + b.data
 
     def bwd(g):
@@ -225,6 +293,36 @@ def affine(x, weight, bias) -> Tensor:
         _acc(b, g.sum(axis=0))
 
     return _node(out, (x, w, b), bwd, "affine")
+
+
+def affine_columns(x, weight, bias, cols) -> Tensor:
+    """x[B,I] @ weight[:, cols] + bias[cols] (duplicate columns allowed).
+
+    Backward writes only the selected weight columns and bias entries and
+    records them as the touched ones on their Parameters.
+    """
+    x, w, b = _affine_inputs(x, weight, bias)
+    cols = np.asarray(cols, dtype=np.int64)
+    w_cols = w.data[:, cols]
+    out = x.data @ w_cols + b.data[cols]
+    sorted_cols = np.sort(cols)
+    distinct = not np.any(sorted_cols[1:] == sorted_cols[:-1])
+
+    def scatter(t, at, piece):
+        buf = _grad_buffer(t, t.data.ndim - 1, cols)
+        if distinct:
+            buf[at] += piece  # np.add.at is about 3x slower
+        else:
+            np.add.at(buf, at, piece)
+
+    def bwd(g):
+        _acc(x, g @ w_cols.T)
+        if w._needs_grad:
+            scatter(w, (slice(None), cols), x.data.T @ g)
+        if b._needs_grad:
+            scatter(b, cols, g.sum(axis=0))
+
+    return _node(out, (x, w, b), bwd, "affine_columns")
 
 
 def reshape(x, shape) -> Tensor:
@@ -315,17 +413,6 @@ def relu(x) -> Tensor:
     return _node(out, (x,), bwd, "relu")
 
 
-_ELEMENTWISE = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def elementwise(kind: str, x) -> Tensor:
-    """Apply one of sigmoid | tanh | relu by name."""
-    try:
-        return _ELEMENTWISE[kind](x)
-    except KeyError:
-        raise ShapeError(f"unknown elementwise kind '{kind}'") from None
-
-
 def softmax(x) -> Tensor:
     """Row-wise softmax with max-subtraction; 1-D input is one row."""
     x = as_tensor(x)
@@ -351,12 +438,6 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
         _acc(x, g * mask)
 
     return _node(out, (x,), bwd, "dropout")
-
-
-def detach(x) -> Tensor:
-    """Copy of x's values with no graph history."""
-    x = as_tensor(x)
-    return Tensor(x.data.copy(), needs_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +500,7 @@ def embedding(table, indices) -> Tensor:
 
     def bwd(g):
         if table._needs_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+            np.add.at(_grad_buffer(table, 0, idx), idx, g)
 
     return _node(out, (table,), bwd, "embedding")
 
@@ -445,10 +524,8 @@ def embedding_bag_mean(table, flat_indices, offsets) -> Tensor:
 
     def bwd(g):
         if table._needs_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
             contrib = g[seg] / counts[seg][:, None]
-            np.add.at(table.grad, flat, contrib)
+            np.add.at(_grad_buffer(table), flat, contrib)
 
     return _node(out, (table,), bwd, "embedding_bag_mean")
 
@@ -480,20 +557,6 @@ def pairwise_inner(fields) -> Tensor:
     return _node(out, tuple(ts), bwd, "pairwise_inner")
 
 
-def take_rows(x, rows) -> Tensor:
-    x = as_tensor(x)
-    rows = np.asarray(rows, dtype=np.int64)
-    out = x.data[rows]
-
-    def bwd(g):
-        if x._needs_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, rows, g)
-
-    return _node(out, (x,), bwd, "take_rows")
-
-
 def gather_columns(x, cols) -> Tensor:
     """out[:, k] = x[:, cols[k]] (duplicate columns allowed)."""
     x = as_tensor(x)
@@ -503,11 +566,9 @@ def gather_columns(x, cols) -> Tensor:
 
     def bwd(g):
         if x._needs_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
             rows = np.broadcast_to(np.arange(n_rows)[:, None], g.shape)
             cgrid = np.broadcast_to(cols[None, :], g.shape)
-            np.add.at(x.grad, (rows, cgrid), g)
+            np.add.at(_grad_buffer(x), (rows, cgrid), g)
 
     return _node(out, (x,), bwd, "gather_columns")
 
@@ -521,9 +582,7 @@ def take_rc(x, rows, cols) -> Tensor:
 
     def bwd(g):
         if x._needs_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, (rows, cols), g)
+            np.add.at(_grad_buffer(x), (rows, cols), g)
 
     return _node(out, (x,), bwd, "take_rc")
 

@@ -7,6 +7,13 @@ parameters frozen (the encoder's batch-norm scale/shift stays live).
 Hidden state carries across batch steps but is detached, so
 backpropagation is truncated to a single step.
 
+Every stage scores only the batch's distinct target items: TOP1 reads
+nothing else, so the logits are [lanes, distinct targets] instead of
+[lanes, items].  Backward then writes only those columns of the output
+table and bias (and the gathered rows of the item embeddings), and Adagrad
+updates only what backward wrote, plus one dense weight-decay pass when the
+decay is nonzero.  Validation and evaluation still score every item.
+
 Merge training treats the frozen blocks as constants: the GRU hidden
 states and the encoder's pre-norm features enter the graph as values, so
 backward and the optimizer touch only the encoder's batch norm and the
@@ -48,33 +55,29 @@ def top1_loss(target_logit, negative_logits) -> T.Tensor:
 def top1_batch_loss(logits: T.Tensor, targets) -> tuple[T.Tensor | None, int]:
     """TOP1 over in-batch negatives, averaged across contributing lanes.
 
-    Lane i's negatives are the other lanes' distinct targets minus any equal
-    to its own target.  Lanes left with no negatives contribute nothing; if
-    no lane contributes the loss is None.
+    logits[i, c] scores column c for lane i and targets[i] is lane i's
+    column.  Lane i's negatives are the other lanes' distinct targets minus
+    any equal to its own target, so with m distinct targets every lane has
+    m - 1 negatives; with one distinct target no lane contributes and the
+    loss is None.  Training passes logits over the batch's distinct targets
+    only, with each lane's position among them as its target.
     """
     t = np.asarray(targets, dtype=np.int64)
     n = len(t)
-    seen: set[int] = set()
-    first = np.zeros(n, dtype=bool)
-    for j, v in enumerate(t):
-        if v not in seen:
-            first[j] = True
-            seen.add(int(v))
-    mask = first[None, :] & (t[None, :] != t[:, None])
-    counts = mask.sum(axis=1)
-    contributing = counts > 0
-    n_rows = int(contributing.sum())
-    if n_rows == 0:
+    cols, own = np.unique(t, return_inverse=True)
+    m = len(cols)
+    if m < 2:
         return None, 0
-    weights = np.zeros((n, n))
-    weights[contributing] = (
-        mask[contributing] / counts[contributing][:, None] / n_rows
-    )
-    scores = T.gather_columns(logits, t)                       # [n,n]
-    own = T.take_rc(logits, np.arange(n), t)                   # [n]
-    diff = T.sub(scores, T.reshape(own, (n, 1)))
+    if m == logits.shape[1] and cols[0] == 0 and cols[-1] == m - 1:
+        scores = T.as_tensor(logits)  # every column is a target: no gather
+    else:
+        scores = T.gather_columns(logits, cols)                # [n,m]
+    pos = T.take_rc(scores, np.arange(n), own)                 # [n]
+    diff = T.sub(scores, T.reshape(pos, (n, 1)))
     terms = T.add(T.sigmoid(diff), T.sigmoid(T.mul(scores, scores)))
-    return T.sum_all(T.mul(terms, T.constant(weights))), n_rows
+    weights = np.full((n, m), 1.0 / (m - 1) / n)
+    weights[np.arange(n), own] = 0.0
+    return T.sum_all(T.mul(terms, T.constant(weights))), n
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,12 @@ class Adagrad:
     Per unfrozen parameter: acc += g^2; value -= lr * g / (sqrt(acc) + eps)
     + lr * wd * value.  Frozen parameters are left untouched.  Gradients
     are zeroed after the step.
+
+    Only the entries backward wrote into (``Parameter.touched``) go through
+    that formula, with the same operations as a dense step.  Every other
+    entry has g = 0, where the formula leaves acc as it is and reduces to
+    value -= lr * wd * value: one dense pass when wd > 0, nothing when wd = 0
+    (the same values; only a -0.0 entry could come out as +0.0).
     """
 
     def __init__(self, params, learning_rate: float, weight_decay: float = 0.0,
@@ -104,11 +113,18 @@ class Adagrad:
         lr, wd = self.learning_rate, self.weight_decay
         for p in self.params:
             if not p.frozen:
-                g = p.grad
+                where, g = p.touched_grad()
                 if not np.all(np.isfinite(g)):
                     raise NumericError(f"non-finite gradient for parameter {p.name!r}")
-                p.accumulator += g * g
-                p.value -= lr * g / (np.sqrt(p.accumulator) + self.eps) + lr * wd * p.value
+                # views when `where` is everything, copies of the slices otherwise
+                acc, value = p.accumulator[where], p.value[where]
+                acc += g * g
+                value -= lr * g / (np.sqrt(acc) + self.eps) + lr * wd * value
+                if where is not ...:
+                    p.accumulator[where] = acc
+                    if wd > 0:
+                        p.value -= lr * wd * p.value
+                    p.value[where] = value
             p.zero_grad()
 
     def zero_grad(self) -> None:
@@ -232,19 +248,20 @@ def _build_stage_model(plan: TrainPlan, dataset: SessionDataset, rng,
     return ArnnModel(pnn, gru, plan.merge_dim, rng)
 
 
-def _stage_logits(model, batch, active, training: bool, rng) -> T.Tensor:
+def _stage_logits(model, batch, active, cols, training: bool, rng) -> T.Tensor:
+    """The active lanes' scores for the item columns `cols` (None: every item)."""
     prev = batch.prev_items[active]
     boundaries = batch.session_boundary[active]
     if isinstance(model, GruSessionModel):
         h = model.step(prev, boundaries, lane_ids=active)
-        return model.scores(h, training=training, rng=rng)
+        return model.scores(h, training=training, rng=rng, cols=cols)
     contexts = [batch.contexts[lane] for lane in active]
     if isinstance(model, PnnEncoder):
-        return model.scores(model.encode(contexts, prev, training=training))
+        return model.scores(model.encode(contexts, prev, training=training), cols=cols)
     pnn, gru = model.pnn, model.gru
     c = pnn.bn(T.constant(pnn.features(contexts, prev).data), training)
     h = T.constant(gru.step(prev, boundaries, lane_ids=active).data)
-    return model.head(c, h, training)
+    return model.head(c, h, training, cols=cols)
 
 
 def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
@@ -275,8 +292,11 @@ def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
             active = np.flatnonzero(batch.active)
             if len(active) < 2:
                 continue
-            logits = _stage_logits(model, batch, active, training=True, rng=rng)
-            loss, _ = top1_batch_loss(logits, batch.target_items[active])
+            # score only the batch's distinct targets: they are every lane's
+            # positive and negatives
+            cols, own = np.unique(batch.target_items[active], return_inverse=True)
+            logits = _stage_logits(model, batch, active, cols, training=True, rng=rng)
+            loss, _ = top1_batch_loss(logits, own)
             if loss is None:
                 continue
             if not np.isfinite(loss.data):

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from arnn import cli
+from arnn import tensor as T
 from arnn.cli import main
 from arnn.data import SessionDataset
 
@@ -166,6 +168,58 @@ def test_evaluate_out_of_layout_context_exits_3(synth_dir, tmp_path, capsys):
                  str(synth_dir["ckpt"]), "--systems", "gru"])
     assert code == 3
     assert f"position {width} outside" in capsys.readouterr().err
+
+
+def _overflow():
+    with np.errstate(over="ignore"):
+        T.mul(np.array([1e308]), np.array([1e308]))
+
+
+@pytest.mark.parametrize("flag, code", [(True, 4), (False, 0)])
+def test_train_check_finite(synth_dir, tmp_path, monkeypatch, flag, code):
+    real = cli.run_stage
+
+    def overflowing_stage(*args, **kwargs):
+        _overflow()  # inf: an error only under the guard
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_stage", overflowing_stage)
+    argv = ["train", "--stage", "gru", "--data", str(synth_dir["data"] / "train.json"),
+            "--out", str(tmp_path), "--profile", "synth", "--epochs", "1"]
+    assert main(argv + (["--check-finite"] if flag else [])) == code
+    assert not T._check_finite  # off again for later in-process callers
+
+
+@pytest.mark.parametrize("flag, code", [(True, 4), (False, 0)])
+def test_evaluate_check_finite(synth_dir, monkeypatch, flag, code):
+    real = cli.evaluate_system
+
+    def overflowing_evaluation(*args, **kwargs):
+        _overflow()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_system", overflowing_evaluation)
+    argv = ["evaluate", "--data", str(synth_dir["data"] / "test.json"),
+            "--checkpoints", str(synth_dir["ckpt"]), "--systems", "gru"]
+    assert main(argv + (["--check-finite"] if flag else [])) == code
+    assert not T._check_finite
+
+
+def test_check_finite_from_config_file(synth_dir, tmp_path, monkeypatch):
+    seen = []
+    real = cli.evaluate_system
+
+    def spy(*args, **kwargs):
+        seen.append(T._check_finite)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_system", spy)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("check_finite=true\n")
+    assert main(["evaluate", "--config", str(cfg),
+                 "--data", str(synth_dir["data"] / "test.json"),
+                 "--checkpoints", str(synth_dir["ckpt"]), "--systems", "gru"]) == 0
+    assert seen == [True] and not T._check_finite
 
 
 def test_unknown_config_key_rejected(tmp_path, synth_dir):

@@ -6,6 +6,7 @@ from arnn.batching import SessionParallelIterator
 from arnn.data import FieldSchema, Session, SessionDataset
 from arnn.errors import EvaluationError
 from arnn.evaluate import (
+    KNN_BLOCK_ROWS,
     EvalReport,
     ItemKnnIndex,
     SystemReport,
@@ -144,6 +145,32 @@ def test_itemknn_top_m_cap():
     ds = make_dataset([[0, 1, 2], [0, 1], [0, 2]])
     index = build_itemknn(ds, lam=0.0, top_m=1)
     assert np.count_nonzero(index.sim[0]) == 1
+
+
+def test_itemknn_row_blocks_match_the_whole_table_build():
+    # 600 items span three row blocks, the last one partial; the reference
+    # builds the whole [V, V] table at once and cuts each row on its own
+    n_items, top_m, lam = 600, 25, 2.0
+    rng = np.random.default_rng(12)
+    item_lists = [rng.integers(0, n_items, size=rng.integers(2, 9)).tolist()
+                  for _ in range(400)]
+    ds = make_dataset(item_lists, n_items=n_items)
+    assert n_items > 2 * KNN_BLOCK_ROWS
+    incidence = np.zeros((len(item_lists), n_items))
+    for row, items in enumerate(item_lists):
+        incidence[row, items] = 1.0
+    co = incidence.T @ incidence
+    counts = np.diag(co).copy()
+    denom = np.sqrt(counts)[:, None] * np.sqrt(counts)[None, :] + lam
+    full = co / denom
+    np.fill_diagonal(full, 0.0)
+    want = np.zeros_like(full)
+    for i in range(n_items):
+        top = np.argsort(-full[i], kind="stable")[:top_m]
+        want[i, top] = full[i, top]
+    got = build_itemknn(ds, lam=lam, top_m=top_m).sim
+    assert got.tobytes() == want.tobytes()
+    assert build_itemknn(ds, lam=lam, top_m=n_items).sim.tobytes() == full.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from arnn import tensor as T
 from arnn.errors import DegenerateBatchError, NumericError, ShapeError
@@ -31,6 +31,82 @@ def test_affine_hand_matmul():
 def test_affine_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(1, 3\).*\(2, 2\)"):
         T.affine(np.zeros((1, 3)), np.zeros((2, 2)), np.zeros(2))
+
+
+def test_affine_columns_equals_affine_then_gather():
+    x = RNG.normal(size=(3, 4))
+    w = RNG.normal(size=(4, 7))
+    b = RNG.normal(size=7)
+    cols = np.array([5, 0, 5, 2])
+    full = T.affine(x, w, b).data
+    assert_allclose(T.affine_columns(x, w, b, cols).data, full[:, cols], rtol=1e-14)
+
+
+@pytest.mark.parametrize("cols", [[6, 1, 3], [2, 5, 2, 0, 5]])
+def test_grad_affine_columns(cols):
+    # the second case repeats columns, whose gradients must add up
+    w = T.Parameter(RNG.normal(size=(4, 7)), "w")
+    b = T.Parameter(RNG.normal(size=7), "b")
+    x = T.Parameter(RNG.normal(size=(3, 4)), "x")
+    s = RNG.normal(size=(3, len(cols)))
+    assert_param_grads_match(
+        lambda: T.sum_all(T.mul(T.affine_columns(x, w, b, cols), s)), [w, b, x]
+    )
+
+
+def test_affine_columns_writes_only_its_columns():
+    w = T.Parameter(RNG.normal(size=(4, 7)), "w")
+    b = T.Parameter(RNG.normal(size=7), "b")
+    out = T.affine_columns(RNG.normal(size=(3, 4)), w, b, [5, 1, 5])
+    T.backward(T.sum_all(T.mul(out, RNG.normal(size=(3, 3)))))
+    assert_array_equal(w.touched()[1], [1, 5])
+    assert_array_equal(b.touched()[0], [1, 5])
+    untouched = np.ones(7, dtype=bool)
+    untouched[[1, 5]] = False
+    assert not w.grad[:, untouched].any() and not b.grad[untouched].any()
+
+
+def test_affine_columns_shape_mismatch():
+    with pytest.raises(ShapeError, match=r"\(1, 3\).*\(2, 2\)"):
+        T.affine_columns(np.zeros((1, 3)), np.zeros((2, 2)), np.zeros(2), [0])
+
+
+# ---------------------------------------------------------------------------
+# touched entries
+
+
+def test_touched_records_embedding_rows():
+    table = T.Parameter(RNG.normal(size=(6, 2)), "emb")
+    assert table.touched()[0].size == 0  # nothing written yet
+    T.backward(T.sum_all(T.embedding(table, [4, 0, 4])))
+    where = table.touched()
+    assert_array_equal(where[0], [0, 4])
+    table.zero_grad()
+    assert table.touched()[0].size == 0
+
+
+def test_touched_is_everything_after_a_dense_write():
+    table = T.Parameter(RNG.normal(size=(6, 2)), "emb")
+    loss = T.add(T.sum_all(T.embedding(table, [1])), T.sum_all(T.mul(table, 2.0)))
+    T.backward(loss)
+    assert table.touched() is ...
+
+
+def test_touched_is_everything_after_writes_along_two_axes():
+    w = T.Parameter(RNG.normal(size=(5, 5)), "w")
+    rows = T.embedding(w, [0])
+    cols = T.affine_columns(np.ones((1, 5)), w, np.zeros(5), [2])
+    T.backward(T.add(T.sum_all(rows), T.sum_all(cols)))
+    assert w.touched() is ...
+
+
+def test_reading_grad_counts_as_writing_everything():
+    table = T.Parameter(RNG.normal(size=(6, 2)), "emb")
+    T.backward(T.sum_all(T.embedding(table, [3])))
+    table.grad[5] = 1.0  # by hand, outside the recorded rows
+    assert table.touched() is ...
+    table.zero_grad()
+    assert not table.grad.any()
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +206,10 @@ def test_batch_norm_running_stats_and_inference():
 
 
 def test_elementwise_values():
-    assert T.elementwise("sigmoid", np.array(0.0)).data == 0.5
-    assert_allclose(T.elementwise("relu", np.array([-1.0, 2.0])).data, [0.0, 2.0])
-    assert_allclose(T.elementwise("sigmoid", np.array(-2.0)).data, 0.11920, atol=1e-5)
-    assert T.elementwise("tanh", np.array(0.0)).data == 0.0
+    assert T.sigmoid(np.array(0.0)).data == 0.5
+    assert_allclose(T.relu(np.array([-1.0, 2.0])).data, [0.0, 2.0])
+    assert_allclose(T.sigmoid(np.array(-2.0)).data, 0.11920, atol=1e-5)
+    assert T.tanh(np.array(0.0)).data == 0.0
 
 
 def test_sigmoid_extreme_inputs_are_stable():
@@ -224,12 +300,13 @@ def test_grad_batch_norm_train_and_inference():
 
 @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "relu"])
 def test_grad_elementwise(kind):
+    op = {"sigmoid": T.sigmoid, "tanh": T.tanh, "relu": T.relu}[kind]
     # keep values away from relu's kink, where finite differences are invalid
     base = RNG.normal(size=(3, 4))
     base[np.abs(base) < 0.05] = 0.5
     w = T.Parameter(base, "w")
     s = RNG.normal(size=(3, 4))
-    assert_param_grads_match(lambda: T.sum_all(T.mul(T.elementwise(kind, w), s)), [w])
+    assert_param_grads_match(lambda: T.sum_all(T.mul(op(w), s)), [w])
 
 
 def test_grad_matmul_add_sub_mul_broadcast():
@@ -298,14 +375,12 @@ def test_grad_gathers():
     rows = np.array([0, 2])
     rcs = np.array([4, 4])
     s1 = RNG.normal(size=(4, 4))
-    s2 = RNG.normal(size=(2, 5))
     s3 = RNG.normal(size=2)
 
     def loss():
         y1 = T.sum_all(T.mul(T.gather_columns(x, cols), s1))
-        y2 = T.sum_all(T.mul(T.take_rows(x, rows), s2))
         y3 = T.sum_all(T.mul(T.take_rc(x, rows, rcs), s3))
-        return T.add(T.add(y1, y2), y3)
+        return T.add(y1, y3)
 
     assert_param_grads_match(loss, [x])
 
@@ -340,9 +415,9 @@ def test_dropout_mask_and_scale():
     assert_allclose(x.grad[~kept], 0.0)
 
 
-def test_detach_blocks_gradient():
+def test_constant_blocks_gradient():
     w = T.Parameter(np.ones(3), "w")
-    y = T.detach(T.mul(w, 2.0))
+    y = T.constant(T.mul(w, 2.0).data)
     loss = T.sum_all(T.mul(y, 3.0))
     T.backward(loss)
     assert_allclose(w.grad, np.zeros(3))

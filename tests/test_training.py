@@ -3,11 +3,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from arnn import tensor as T
-from arnn.batching import MiniBatch, negatives_for
+from arnn.batching import MiniBatch, SessionParallelIterator, negatives_for
 from arnn.data import FieldSchema, Session, SessionDataset
 from arnn.errors import DataError, NumericError, PrerequisiteError
 from arnn import training as training_module
-from arnn.models import ArnnModel, load_checkpoint, read_raw_tensor_bytes
+from arnn.models import (
+    ArnnModel,
+    GruSessionModel,
+    PnnEncoder,
+    load_checkpoint,
+    read_raw_tensor_bytes,
+)
 from arnn.training import (
     Adagrad,
     EpochStats,
@@ -180,6 +186,58 @@ def test_adagrad_non_finite_gradient_names_parameter():
         Adagrad([p], learning_rate=0.1).step()
 
 
+def test_adagrad_non_finite_gradient_in_touched_rows():
+    table = T.Parameter(np.ones((4, 2)), "gru/item_embedding")
+    T.backward(T.sum_all(T.mul(T.embedding(table, [1, 3]), np.array([np.nan, 1.0]))))
+    assert table.touched() is not ...
+    with pytest.raises(NumericError, match="gru/item_embedding"):
+        Adagrad([table], learning_rate=0.1).step()
+
+
+def _sparse_and_dense_twins(rng):
+    """Two equal copies of a [6, 5] table, its [5, 7] projection and bias."""
+    values = (rng.normal(size=(6, 5)), rng.normal(size=(5, 7)), rng.normal(size=7))
+    return [[T.Parameter(v, name) for v, name in zip(values, ("emb", "w", "b"))]
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-6])
+def test_adagrad_sparse_step_bit_identical_to_dense(weight_decay):
+    # the same gradients, recorded as touched rows/columns on one copy and
+    # as written everywhere (read through .grad) on the other
+    rng = np.random.default_rng(3)
+    sparse, dense = _sparse_and_dense_twins(rng)
+    opt_s = Adagrad(sparse, learning_rate=0.3, weight_decay=weight_decay)
+    opt_d = Adagrad(dense, learning_rate=0.3, weight_decay=weight_decay)
+    for step in range(5):
+        rows = rng.integers(0, 6, size=4)  # repeats on purpose
+        cols = rng.integers(0, 7, size=3)
+        s = rng.normal(size=(4, 3))
+
+        def loss(emb, w, b):
+            return T.sum_all(T.mul(T.affine_columns(T.embedding(emb, rows), w, b, cols), s))
+
+        T.backward(loss(*sparse))
+        T.backward(loss(*dense))
+        if step % 2:  # a parameter touched sparsely and densely in one step
+            T.backward(T.sum_all(T.mul(sparse[1], 0.5)))
+            T.backward(T.sum_all(T.mul(dense[1], 0.5)))
+            assert sparse[1].touched() is ...
+        else:
+            assert sparse[1].touched() is not ...
+        assert sparse[0].touched() is not ... and sparse[2].touched() is not ...
+        for p in dense:
+            p.grad  # reading it marks the whole tensor as written
+            assert p.touched() is ...
+        opt_s.step()
+        opt_d.step()
+        for p, q in zip(sparse, dense):
+            assert p.value.tobytes() == q.value.tobytes(), (step, p.name)
+            assert p.accumulator.tobytes() == q.accumulator.tobytes(), (step, p.name)
+            assert not p.grad.any() and not q.grad.any()
+            p.zero_grad()  # reading .grad above counted as a write
+
+
 # ---------------------------------------------------------------------------
 # stage runner
 
@@ -284,20 +342,66 @@ def test_merge_on_constant_features_matches_step_scores(tmp_path, monkeypatch):
 
     constant_path = training_module._stage_logits
 
-    def through_step_scores(model, batch, active, training, rng):
+    def through_differentiable_blocks(model, batch, active, cols, training, rng):
         if not isinstance(model, ArnnModel):
-            return constant_path(model, batch, active, training, rng)
-        return model.step_scores(batch.prev_items[active],
-                                 [batch.contexts[lane] for lane in active],
-                                 batch.session_boundary[active], lane_ids=active,
-                                 training=training)
+            return constant_path(model, batch, active, cols, training, rng)
+        prev = batch.prev_items[active]
+        c = model.pnn.encode([batch.contexts[lane] for lane in active], prev, training)
+        h = model.gru.step(prev, batch.session_boundary[active], lane_ids=active)
+        return model.head(c, h, training, cols=cols)
 
-    monkeypatch.setattr(training_module, "_stage_logits", through_step_scores)
+    monkeypatch.setattr(training_module, "_stage_logits", through_differentiable_blocks)
     ref = run_stage(small_plan("merge", epochs=3), ds, tmp_path / "ref", **pretrained)
     assert [h.train_loss for h in fast.history] == [h.train_loss for h in ref.history]
     assert history_tsv(fast.history) == history_tsv(ref.history)
     assert (read_raw_tensor_bytes(fast.checkpoint_path)
             == read_raw_tensor_bytes(ref.checkpoint_path))
+
+
+def _stage_model(stage, dataset, seed):
+    rng = np.random.default_rng(seed)
+    n_items = len(dataset.schema.item_vocabulary)
+    gru = GruSessionModel(n_items, 6, dropout=0.3, rng=rng)
+    pnn = PnnEncoder.from_schema(dataset.schema, 3, 5, rng)
+    if stage == "gru":
+        return gru
+    if stage == "pnn":
+        return pnn
+    return ArnnModel(pnn, gru, 7, rng)
+
+
+@pytest.mark.parametrize("stage", ["gru", "pnn", "merge"])
+def test_target_columns_match_full_logits(stage):
+    # one training step scored on the batch's distinct targets against the
+    # same step scored on every item and gathered by top1_batch_loss
+    ds = toy_dataset(n_sessions=12, n_items=9, context_driven=True)
+    models = [_stage_model(stage, ds, seed=4) for _ in range(2)]
+    batch = next(iter(SessionParallelIterator(ds, 6)))
+    active = np.flatnonzero(batch.active)
+    targets = batch.target_items[active]
+    cols, own = np.unique(targets, return_inverse=True)
+    assert 2 <= len(cols) < 9
+    results = []
+    for model, (cols_arg, lane_targets) in zip(models, [(cols, own), (None, targets)]):
+        if hasattr(model, "reset"):
+            model.reset(6)
+        logits = training_module._stage_logits(model, batch, active, cols_arg, True,
+                                               np.random.default_rng(9))
+        loss, n_rows = top1_batch_loss(logits, lane_targets)
+        T.backward(loss)
+        grads = {p.name: p.grad.copy() for p in model.parameters() if not p.frozen}
+        results.append((float(loss.data), n_rows, grads))
+    (loss_s, rows_s, grads_s), (loss_d, rows_d, grads_d) = results
+    assert rows_s == rows_d == len(active)
+    assert_allclose(loss_s, loss_d, rtol=1e-12, atol=0)
+    for name, g in grads_d.items():
+        assert_allclose(grads_s[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(),
+                        err_msg=name)
+    # the sparse step left every non-target output column untouched
+    out = {"gru": "gru/out_weight", "pnn": "pnn/score_weight",
+           "merge": "merge/out_weight"}[stage]
+    others = np.setdiff1d(np.arange(9), cols)
+    assert not grads_s[out][:, others].any()
 
 
 def test_run_stage_deterministic_history(tmp_path):
