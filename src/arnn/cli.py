@@ -12,7 +12,10 @@ import contextlib
 import os
 import sys
 
+import numpy as np
+
 from . import tensor as T
+from .batching import MiniBatch
 from .config import REQUIRED, parse_config_file, resolve
 from .data import SessionDataset, preprocess, read_events, read_schema
 from .errors import (
@@ -22,7 +25,7 @@ from .errors import (
     VocabularyError,
 )
 from .evaluate import EvalReport, build_itemknn, evaluate_system, top_k_items
-from .models import ArnnModel, GruSessionModel, PnnEncoder, load_checkpoint
+from .models import load_checkpoint
 from .synth import GeneratorSpec, generate, write_events, write_truth
 from .training import STAGES, history_tsv, make_plan, run_stage
 
@@ -153,14 +156,8 @@ def cmd_train(args) -> int:
 def _load_system(name: str, checkpoint_dir: str, schema_hash: str, train_data):
     if name == "itemknn":
         return build_itemknn(train_data)
-    kind = {"gru": "gru", "pnn": "pnn", "arnn": "arnn"}.get(name)
-    if kind is None:
-        raise ConfigError(f"unknown system {name!r}")
-    path = os.path.join(checkpoint_dir, "merge.npz" if kind == "arnn"
-                        else f"{kind}.npz")
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint for system {name!r} not found: {path}")
-    return load_checkpoint(path, schema_hash, kind)
+    path = os.path.join(checkpoint_dir, "merge.npz" if name == "arnn" else f"{name}.npz")
+    return load_checkpoint(path, schema_hash, name)
 
 
 def cmd_evaluate(args) -> int:
@@ -177,6 +174,8 @@ def cmd_evaluate(args) -> int:
     systems = [s.strip() for s in cfg["systems"].split(",") if s.strip()]
     if not systems:
         raise ConfigError("no systems requested")
+    if cfg["k"] < 1:
+        raise ConfigError(f"k must be at least 1, got {cfg['k']}")
     for name in systems:
         if name not in ("itemknn", "gru", "pnn", "arnn"):
             raise ConfigError(f"unknown system {name!r}")
@@ -217,6 +216,13 @@ def _parse_attrs(text: str) -> dict[str, list[str]]:
     return attrs
 
 
+def softmax(x) -> np.ndarray:
+    """Row-wise softmax with max-subtraction; 1-D input is one row."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def cmd_recommend(args) -> int:
     known = {
         "checkpoint": (str, REQUIRED),
@@ -226,6 +232,8 @@ def cmd_recommend(args) -> int:
         "k": (int, 10),
     }
     cfg = _resolved(args, known)
+    if cfg["k"] < 1:
+        raise ConfigError(f"k must be at least 1, got {cfg['k']}")
     if not os.path.exists(cfg["data"]):
         raise DataError(f"dataset not found: {cfg['data']}")
     schema = read_schema(cfg["data"])
@@ -238,22 +246,14 @@ def cmd_recommend(args) -> int:
         raise VocabularyError(f"items not in the vocabulary: {', '.join(unknown)}")
     indices = [schema.item_index(i) for i in item_ids]
     context = schema.encode(_parse_attrs(cfg["attrs"]))
-
-    if isinstance(model, PnnEncoder):
-        c = model.encode([context], [indices[-1]], training=False)
-        logits = model.scores(c)
-    elif isinstance(model, GruSessionModel):
-        model.reset(1)
-        for step, item in enumerate(indices):
-            h = model.step([item], boundaries=[step == 0])
-        logits = model.scores(h)
-    elif isinstance(model, ArnnModel):
-        model.reset(1)
-        for step, item in enumerate(indices):
-            logits = model.step_scores([item], [context], boundaries=[step == 0])
-    else:
-        raise ConfigError(f"cannot recommend from a {type(model).__name__}")
-    probs = T.softmax(logits).data[0]
+    # the prefix as a one-lane session, a step at a time
+    lane = np.arange(1)
+    model.reset(1)
+    for step, item in enumerate(indices):
+        batch = MiniBatch(np.array([item]), np.zeros(1, dtype=np.int64), [context],
+                          np.array([step == 0]), np.ones(1, dtype=bool))
+        logits = model.logits(batch, lane)
+    probs = softmax(logits.data)[0]
     k = min(cfg["k"], len(schema.item_vocabulary))
     for rank, idx in enumerate(top_k_items(probs, k), start=1):
         print(f"{rank}\t{schema.item_vocabulary[int(idx)]}\t{probs[int(idx)]:.6f}")

@@ -81,8 +81,11 @@ class FieldSchema:
 
         A missing field, or a category not in the schema, falls back to the
         field's ``unknown`` slot; if the field has none, that is a schema
-        error.
+        error.  So is an attribute name that is not a schema field.
         """
+        stray = sorted(set(attributes) - set(self.field_names))
+        if stray:
+            raise SchemaError(f"fields not in the schema: {', '.join(stray)}")
         positions = []
         for f, (name, _) in enumerate(self.fields):
             cat_index = self._category_index[f]
@@ -372,11 +375,6 @@ def build_schema(events: list[RawEvent], field_names: list[str],
             observed[name].update(v for v in e.attributes.get(name, []) if v != UNKNOWN)
     fields = [(name, sorted(observed[name]) + [UNKNOWN]) for name in field_names]
     return FieldSchema(fields, item_vocabulary)
-
-
-def encode_context(attributes: dict[str, list[str]], schema: FieldSchema) -> tuple[int, ...]:
-    """Active positions of the concatenated one-hot context vector."""
-    return schema.encode(attributes)
 
 
 def encode_sessions(event_sessions: list[list[RawEvent]], schema: FieldSchema) -> list[Session]:

@@ -1,10 +1,12 @@
 """Ranking metrics, the item-to-item baseline, and test-set evaluation.
 
 Evaluation walks every test session left to right; from the second step on
-the system scores all items conditioned on the observed prefix only.  The
-recurrent systems carry hidden state within a session, the item-KNN and
-context-encoder baselines condition on the previous step alone.  Ties in
-the ranking break deterministically by ascending item index.
+the system scores all items conditioned on the observed prefix only,
+through the model protocol of ``models`` (``reset``, then ``logits``; the
+merge model's equal its reference ``step_scores``).  The recurrent systems
+carry hidden state within a session, the item-KNN and context-encoder
+baselines condition on the previous step alone.  Ties in the ranking break
+deterministically by ascending item index.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .batching import SessionParallelIterator
 from .data import SessionDataset
 from .errors import EvaluationError
-from .models import ArnnModel, GruSessionModel, PnnEncoder
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +84,17 @@ class ItemKnnIndex:
     lam: float
     top_m: int
 
+    kind = "itemknn"
+
     def scores(self, prev_item: int) -> np.ndarray:
         return self.sim[prev_item]
+
+    def reset(self, n_lanes: int) -> None:
+        """Stateless: a step depends on its previous item only."""
+
+    def logits(self, batch, active, cols=None, training=False, rng=None) -> T.Tensor:
+        rows = self.sim[batch.prev_items[active]]
+        return T.constant(rows if cols is None else rows[:, cols])
 
 
 # rows of the item-KNN table built at a time: bounds the [rows, V]
@@ -140,82 +151,6 @@ def build_itemknn(train: SessionDataset, lam: float = 20.0, top_m: int = 100
 
 
 # ---------------------------------------------------------------------------
-# system walkers
-
-
-class _KnnScorer:
-    name = "itemknn"
-
-    def __init__(self, index: ItemKnnIndex):
-        self.index = index
-
-    def begin(self, n_lanes: int) -> None:
-        pass
-
-    def score(self, batch, active: np.ndarray) -> np.ndarray:
-        return self.index.sim[batch.prev_items[active]]
-
-
-class _GruScorer:
-    name = "gru"
-
-    def __init__(self, model: GruSessionModel):
-        self.model = model
-
-    def begin(self, n_lanes: int) -> None:
-        self.model.reset(n_lanes)
-
-    def score(self, batch, active: np.ndarray) -> np.ndarray:
-        h = self.model.step(batch.prev_items[active],
-                            batch.session_boundary[active], lane_ids=active)
-        return self.model.scores(h).data
-
-
-class _PnnScorer:
-    name = "pnn"
-
-    def __init__(self, model: PnnEncoder):
-        self.model = model
-
-    def begin(self, n_lanes: int) -> None:
-        pass
-
-    def score(self, batch, active: np.ndarray) -> np.ndarray:
-        contexts = [batch.contexts[lane] for lane in active]
-        c = self.model.encode(contexts, batch.prev_items[active], training=False)
-        return self.model.scores(c).data
-
-
-class _ArnnScorer:
-    name = "arnn"
-
-    def __init__(self, model: ArnnModel):
-        self.model = model
-
-    def begin(self, n_lanes: int) -> None:
-        self.model.reset(n_lanes)
-
-    def score(self, batch, active: np.ndarray) -> np.ndarray:
-        contexts = [batch.contexts[lane] for lane in active]
-        return self.model.step_scores(
-            batch.prev_items[active], contexts,
-            batch.session_boundary[active], lane_ids=active, training=False,
-        ).data
-
-
-def make_scorer(system):
-    if isinstance(system, ItemKnnIndex):
-        return _KnnScorer(system)
-    if isinstance(system, ArnnModel):
-        return _ArnnScorer(system)
-    if isinstance(system, GruSessionModel):
-        return _GruScorer(system)
-    if isinstance(system, PnnEncoder):
-        return _PnnScorer(system)
-    raise EvaluationError(f"no scorer for {type(system).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # reports
 
 
@@ -263,20 +198,19 @@ def evaluate_system(system, test: SessionDataset, k: int = 20,
     """
     if not test.sessions:
         raise EvaluationError("empty test dataset")
-    scorer = make_scorer(system)
     lanes = max(2, min(lanes, len(test.sessions)))
-    scorer.begin(lanes)
+    system.reset(lanes)
     n_recs = n_hits = 0
     rr_sum = 0.0
     for batch in SessionParallelIterator(test, lanes):
         active = np.flatnonzero(batch.active)
-        scores = scorer.score(batch, active)
+        scores = system.logits(batch, active).data
         for row, lane in enumerate(active):
             rank = rank_of(scores[row], int(batch.target_items[lane]))
             n_recs += 1
             if rank <= k:
                 n_hits += 1
                 rr_sum += 1.0 / rank
-    return SystemReport(system=name or scorer.name, k=k,
+    return SystemReport(system=name or system.kind, k=k,
                         recall=n_hits / n_recs, mrr=rr_sum / n_recs,
                         n_recs=n_recs, n_hits=n_hits)

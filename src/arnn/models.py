@@ -1,4 +1,4 @@
-"""The three networks and their checkpoints.
+"""The three networks, their common scoring protocol, and their checkpoints.
 
 GruSessionModel: item embedding -> GRU cell -> item-score projection, with
 per-lane hidden state that resets at session boundaries.
@@ -14,9 +14,14 @@ unused), a trainable merge layer (FC -> ReLU -> batch norm) over the
 concatenated features, and a fresh item-score projection.  During merge
 training only the merge layers and the encoder's batch-norm scale/shift
 receive optimizer updates; the encoder's batch-norm running statistics
-keep updating as well.  Merge training feeds the frozen blocks' outputs to
-the head as graph constants; ``step_scores`` stays the differentiable path
-through every block.
+keep updating as well.
+
+Training, evaluation and ``recommend`` drive every model, and the item-KNN
+baseline, through one protocol: a ``kind`` name, ``reset(n_lanes)`` before
+a pass over session-parallel batches, and ``logits(batch, active, cols,
+training, rng)``, the active lanes' scores for every item or for the item
+columns ``cols``.  ``ArnnModel.logits`` feeds the frozen blocks' outputs to
+the head as constants; ``step_scores`` is its differentiable reference.
 """
 
 from __future__ import annotations
@@ -161,6 +166,11 @@ class GruSessionModel:
             h = T.dropout(h, self.dropout, rng)
         return _item_scores(h, self.out_weight, self.out_bias, cols)
 
+    def logits(self, batch, active, cols=None, training=False, rng=None) -> T.Tensor:
+        h = self.step(batch.prev_items[active], batch.session_boundary[active],
+                      lane_ids=active)
+        return self.scores(h, training=training, rng=rng, cols=cols)
+
 
 class PnnEncoder:
     """Product-based encoder of (user context, previous item) pairs."""
@@ -283,6 +293,14 @@ class PnnEncoder:
         """Item scores from encoded contexts; all items, or the columns `cols`."""
         return _item_scores(encoded, self.score_weight, self.score_bias, cols)
 
+    def reset(self, n_lanes: int) -> None:
+        """Stateless: a step depends on its own context and previous item only."""
+
+    def logits(self, batch, active, cols=None, training=False, rng=None) -> T.Tensor:
+        contexts = [batch.contexts[lane] for lane in active]
+        c = self.encode(contexts, batch.prev_items[active], training)
+        return self.scores(c, cols=cols)
+
 
 class ArnnModel:
     """Frozen GRU and context encoder merged by a trainable scoring head."""
@@ -352,9 +370,24 @@ class ArnnModel:
         h = self.gru.step(prev_items, boundaries, lane_ids)
         return self.head(c, h, training)
 
+    def logits(self, batch, active, cols=None, training=False, rng=None) -> T.Tensor:
+        """``step_scores`` values; backward reaches only the trainable layers."""
+        prev = batch.prev_items[active]
+        contexts = [batch.contexts[lane] for lane in active]
+        c = self.pnn.bn(T.constant(self.pnn.features(contexts, prev).data), training)
+        h = self.gru.step(prev, batch.session_boundary[active], lane_ids=active)
+        return self.head(c, T.constant(h.data), training, cols=cols)
+
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+
+def _members(model) -> dict[str, np.ndarray]:
+    """Every stored array by member name: parameters, then running statistics."""
+    out = {f"param/{p.name}": p.value for p in model.parameters()}
+    out.update((f"state/{name}", arr) for name, arr in model.state_arrays().items())
+    return out
 
 
 def save_checkpoint(path, model, schema_hash: str) -> None:
@@ -367,11 +400,7 @@ def save_checkpoint(path, model, schema_hash: str) -> None:
     checkpoint intact.  As with ``np.savez``, ``.npz`` is appended to a path
     without it.
     """
-    arrays = {}
-    for p in model.parameters():
-        arrays[f"param/{p.name}"] = p.value
-    for name, arr in model.state_arrays().items():
-        arrays[f"state/{name}"] = arr
+    arrays = _members(model)
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "kind": model.kind,
@@ -409,19 +438,8 @@ def read_raw_tensor_bytes(path) -> dict[str, bytes]:
 
 
 def _fill(model, stored: dict, path) -> None:
-    for p in model.parameters():
-        key = f"param/{p.name}"
-        if key not in stored:
-            raise CheckpointError(f"{path}: missing tensor {p.name!r}")
-        arr = stored[key]
-        if arr.shape != p.value.shape:
-            raise CheckpointError(
-                f"{path}: tensor {p.name!r} has shape {arr.shape}, "
-                f"expected {p.value.shape}"
-            )
-        p.value[...] = arr
-    for name, target in model.state_arrays().items():
-        key = f"state/{name}"
+    for key, target in _members(model).items():
+        name = key.partition("/")[2]
         if key not in stored:
             raise CheckpointError(f"{path}: missing tensor {name!r}")
         if stored[key].shape != target.shape:
@@ -432,36 +450,42 @@ def _fill(model, stored: dict, path) -> None:
         target[...] = stored[key]
 
 
+# model kind -> builder from the stored hyperparameters
+KINDS = {
+    "gru": GruSessionModel,
+    "pnn": PnnEncoder,
+    "arnn": lambda pnn, gru, merge_dim: ArnnModel(KINDS["pnn"](**pnn),
+                                                  KINDS["gru"](**gru), merge_dim),
+}
+
+
 def load_checkpoint(path, expected_schema_hash: str | None = None,
                     expected_kind: str | None = None):
-    """Rebuild a model from a checkpoint, failing loudly on any mismatch."""
-    with np.load(path) as zf:
-        stored = {k: zf[k] for k in zf.files}
-    meta = json.loads(bytes(stored.pop("meta")))
-    if meta.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format {meta.get('format_version')}")
-    if expected_schema_hash is not None and meta["schema_hash"] != expected_schema_hash:
+    """Rebuild a model from a checkpoint, failing loudly on any mismatch.
+
+    A file that is not a readable archive with a JSON meta member (missing,
+    truncated, or not an archive at all) raises CheckpointError as well.
+    """
+    try:
+        with np.load(path) as zf:
+            stored = {k: zf[k] for k in zf.files}
+        meta = json.loads(bytes(stored.pop("meta")))
+        version, kind = meta["format_version"], meta["kind"]
+        schema_hash, hp = meta["schema_hash"], meta["hyperparameters"]
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format {version}")
+    if expected_schema_hash is not None and schema_hash != expected_schema_hash:
         raise CheckpointError(
-            f"{path}: schema hash {meta['schema_hash'][:12]}... does not match "
+            f"{path}: schema hash {schema_hash[:12]}... does not match "
             f"the dataset's {expected_schema_hash[:12]}..."
         )
-    kind = meta["kind"]
     if expected_kind is not None and kind != expected_kind:
         raise CheckpointError(f"{path}: checkpoint is {kind!r}, expected {expected_kind!r}")
-    hp = meta["hyperparameters"]
-    if kind == "gru":
-        model = GruSessionModel(hp["n_items"], hp["hidden_size"], hp["dropout"])
-    elif kind == "pnn":
-        model = PnnEncoder(hp["field_sizes"], hp["field_offsets"], hp["n_items"],
-                           hp["embed_dim"], hp["context_dim"])
-    elif kind == "arnn":
-        pnn = PnnEncoder(hp["pnn"]["field_sizes"], hp["pnn"]["field_offsets"],
-                         hp["pnn"]["n_items"], hp["pnn"]["embed_dim"],
-                         hp["pnn"]["context_dim"])
-        gru = GruSessionModel(hp["gru"]["n_items"], hp["gru"]["hidden_size"],
-                              hp["gru"]["dropout"])
-        model = ArnnModel(pnn, gru, hp["merge_dim"])
-    else:
-        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    try:
+        model = KINDS[kind](**hp)
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: cannot build a {kind!r} model: {exc!r}") from exc
     _fill(model, stored, path)
     return model

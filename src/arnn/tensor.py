@@ -413,19 +413,6 @@ def relu(x) -> Tensor:
     return _node(out, (x,), bwd, "relu")
 
 
-def softmax(x) -> Tensor:
-    """Row-wise softmax with max-subtraction; 1-D input is one row."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        _acc(x, p * (g - (g * p).sum(axis=-1, keepdims=True)))
-
-    return _node(p, (x,), bwd, "softmax")
-
-
 def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; call only in training mode."""
     x = as_tensor(x)

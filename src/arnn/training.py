@@ -14,11 +14,13 @@ table and bias (and the gathered rows of the item embeddings), and Adagrad
 updates only what backward wrote, plus one dense weight-decay pass when the
 decay is nonzero.  Validation and evaluation still score every item.
 
-Merge training treats the frozen blocks as constants: the GRU hidden
-states and the encoder's pre-norm features enter the graph as values, so
-backward and the optimizer touch only the encoder's batch norm and the
-merge head.  ``ArnnModel.step_scores`` remains the differentiable path
-through every block; both give the same losses and checkpoints.
+A stage drives its model through the protocol of ``models``: ``reset``
+per epoch, ``logits`` per batch.  Merge training's ``logits`` treats the
+frozen blocks as constants: the GRU hidden states and the encoder's
+pre-norm features enter the graph as values, so backward and the optimizer
+touch only the encoder's batch norm and the merge head.
+``ArnnModel.step_scores`` remains the differentiable reference through
+every block; both give the same losses and checkpoints.
 """
 
 from __future__ import annotations
@@ -127,10 +129,6 @@ class Adagrad:
                     p.value[where] = value
             p.zero_grad()
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 # ---------------------------------------------------------------------------
 # plans and profiles
@@ -233,9 +231,8 @@ def split_validation(dataset: SessionDataset, fraction: float
 def _build_stage_model(plan: TrainPlan, dataset: SessionDataset, rng,
                        gru_checkpoint=None, pnn_checkpoint=None):
     schema = dataset.schema
-    n_items = len(schema.item_vocabulary)
     if plan.stage == "gru":
-        return GruSessionModel(n_items, plan.hidden_size, plan.dropout, rng)
+        return GruSessionModel(len(schema.item_vocabulary), plan.hidden_size, plan.dropout, rng)
     if plan.stage == "pnn":
         return PnnEncoder.from_schema(schema, plan.embed_dim, plan.context_dim, rng)
     if gru_checkpoint is None or pnn_checkpoint is None:
@@ -246,22 +243,6 @@ def _build_stage_model(plan: TrainPlan, dataset: SessionDataset, rng,
     gru = load_checkpoint(gru_checkpoint, schema.hash(), "gru")
     pnn = load_checkpoint(pnn_checkpoint, schema.hash(), "pnn")
     return ArnnModel(pnn, gru, plan.merge_dim, rng)
-
-
-def _stage_logits(model, batch, active, cols, training: bool, rng) -> T.Tensor:
-    """The active lanes' scores for the item columns `cols` (None: every item)."""
-    prev = batch.prev_items[active]
-    boundaries = batch.session_boundary[active]
-    if isinstance(model, GruSessionModel):
-        h = model.step(prev, boundaries, lane_ids=active)
-        return model.scores(h, training=training, rng=rng, cols=cols)
-    contexts = [batch.contexts[lane] for lane in active]
-    if isinstance(model, PnnEncoder):
-        return model.scores(model.encode(contexts, prev, training=training), cols=cols)
-    pnn, gru = model.pnn, model.gru
-    c = pnn.bn(T.constant(pnn.features(contexts, prev).data), training)
-    h = T.constant(gru.step(prev, boundaries, lane_ids=active).data)
-    return model.head(c, h, training, cols=cols)
 
 
 def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
@@ -285,8 +266,7 @@ def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
     bad_epochs = 0
     for epoch in range(plan.epochs):
         order = rng.permutation(len(train.sessions))
-        if hasattr(model, "reset"):
-            model.reset(plan.batch_lanes)
+        model.reset(plan.batch_lanes)
         losses = []
         for batch in SessionParallelIterator(train, plan.batch_lanes, order):
             active = np.flatnonzero(batch.active)
@@ -295,7 +275,7 @@ def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
             # score only the batch's distinct targets: they are every lane's
             # positive and negatives
             cols, own = np.unique(batch.target_items[active], return_inverse=True)
-            logits = _stage_logits(model, batch, active, cols, training=True, rng=rng)
+            logits = model.logits(batch, active, cols, training=True, rng=rng)
             loss, _ = top1_batch_loss(logits, own)
             if loss is None:
                 continue

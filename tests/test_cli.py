@@ -5,8 +5,10 @@ import pytest
 
 from arnn import cli
 from arnn import tensor as T
-from arnn.cli import main
-from arnn.data import SessionDataset
+from arnn.cli import main, softmax
+from arnn.data import SessionDataset, read_schema
+from arnn.evaluate import top_k_items
+from arnn.models import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +158,81 @@ def test_recommend_unknown_item_exits_3(synth_dir, capsys):
     ])
     assert code == 3
     assert "no_such_item" in capsys.readouterr().err
+
+
+def test_recommend_pnn_scores_the_last_item_only(synth_dir, capsys):
+    # the encoder is stateless: a prefix scores as its last item alone
+    schema = read_schema(synth_dir["data"] / "train.json")
+    items = schema.item_vocabulary[:3]
+    attrs = "f0=cat0;f1=cat1"
+    assert main([
+        "recommend", "--checkpoint", str(synth_dir["ckpt"] / "pnn.npz"),
+        "--data", str(synth_dir["data"] / "train.json"),
+        "--items", ",".join(items), "--attrs", attrs, "--k", "7",
+    ]) == 0
+    pnn = load_checkpoint(synth_dir["ckpt"] / "pnn.npz", schema.hash(), "pnn")
+    context = schema.encode(cli._parse_attrs(attrs))
+    c = pnn.encode([context], [schema.item_index(items[-1])], training=False)
+    probs = softmax(pnn.scores(c).data)[0]
+    want = "".join(f"{rank}\t{schema.item_vocabulary[i]}\t{probs[i]:.6f}\n"
+                   for rank, i in enumerate(top_k_items(probs, 7), start=1))
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_k_below_one_exits_2(synth_dir, capsys, command, k):
+    data = str(synth_dir["data"] / "train.json")
+    argv = {
+        "recommend": ["recommend", "--checkpoint", str(synth_dir["ckpt"] / "gru.npz"),
+                      "--data", data, "--items", read_schema(data).item_vocabulary[0]],
+        "evaluate": ["evaluate", "--data", str(synth_dir["data"] / "test.json"),
+                     "--checkpoints", str(synth_dir["ckpt"]), "--systems", "gru"],
+    }[command]
+    assert main(argv + ["--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "k must be at least 1" in captured.err
+
+
+def test_recommend_unknown_attribute_field_exits_3(synth_dir, capsys):
+    data = str(synth_dir["data"] / "train.json")
+    code = main(["recommend", "--checkpoint", str(synth_dir["ckpt"] / "gru.npz"),
+                 "--data", data, "--items", read_schema(data).item_vocabulary[0],
+                 "--attrs", "f0=cat0;nosuchfield=abc"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nosuchfield" in captured.err
+
+
+def _write_bad_checkpoint(path, how, good):
+    """Write `path` spoilt as `how` says, from the good checkpoint `good`;
+    "missing" writes nothing."""
+    if how == "not an archive":
+        path.write_text("epoch\ttrain_loss\n")
+    elif how == "truncated":
+        raw = good.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+    elif how in ("no meta", "bad meta"):
+        stored = dict(np.load(good))
+        if how == "no meta":
+            del stored["meta"]
+        else:
+            stored["meta"] = np.frombuffer(b"{not json", dtype=np.uint8)
+        np.savez(path, **stored)
+
+
+@pytest.mark.parametrize("how", ["missing", "not an archive", "truncated", "no meta",
+                                 "bad meta"])
+def test_unreadable_checkpoint_exits_3(synth_dir, tmp_path, capsys, how):
+    bad = tmp_path / "gru.npz"
+    _write_bad_checkpoint(bad, how, synth_dir["ckpt"] / "gru.npz")
+    data = str(synth_dir["data"] / "train.json")
+    assert main(["recommend", "--checkpoint", str(bad), "--data", data,
+                 "--items", read_schema(data).item_vocabulary[0]]) == 3
+    assert main(["evaluate", "--data", str(synth_dir["data"] / "test.json"),
+                 "--checkpoints", str(tmp_path), "--systems", "gru"]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"data error: {bad}: unreadable checkpoint") == 2
 
 
 def test_evaluate_out_of_layout_context_exits_3(synth_dir, tmp_path, capsys):

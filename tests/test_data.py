@@ -157,7 +157,7 @@ def test_encode_gender_location_layout():
          ("Location", ["Canada", "Mexico", "U.S.", "d", "e", "f", "g", "h"])],
         item_vocabulary=["i0"],
     )
-    pos = D.encode_context({"Gender": ["Female"], "Location": ["U.S."]}, schema)
+    pos = schema.encode({"Gender": ["Female"], "Location": ["U.S."]})
     assert pos == (0, 4)
     one_hot = [1 if i in pos else 0 for i in range(schema.one_hot_length)]
     assert one_hot == [1, 0, 0, 0, 1, 0, 0, 0, 0, 0]
@@ -167,18 +167,25 @@ def test_encode_empty_attributes_uses_unknown_everywhere():
     schema = D.FieldSchema(
         [("a", ["x", D.UNKNOWN]), ("b", ["y", "z", D.UNKNOWN])], ["i0"]
     )
-    assert D.encode_context({}, schema) == (1, 4)
+    assert schema.encode({}) == (1, 4)
 
 
 def test_encode_single_field_offset_zero():
     schema = D.FieldSchema([("a", ["c0", "c1", "c2", "c3", "c4"])], ["i0"])
-    assert D.encode_context({"a": ["c3"]}, schema) == (3,)
+    assert schema.encode({"a": ["c3"]}) == (3,)
 
 
 def test_encode_unseen_category_without_unknown_slot():
     schema = D.FieldSchema([("a", ["x"])], ["i0"])
     with pytest.raises(SchemaError):
-        D.encode_context({"a": ["other"]}, schema)
+        schema.encode({"a": ["other"]})
+
+
+def test_encode_rejects_field_not_in_schema():
+    # even with an unknown slot to fall back on: a misspelt field is an error
+    schema = D.FieldSchema([("a", ["x", D.UNKNOWN])], ["i0"])
+    with pytest.raises(SchemaError, match="not in the schema: b, c"):
+        schema.encode({"a": ["x"], "c": ["y"], "b": []})
 
 
 def test_encode_decode_round_trip():

@@ -12,7 +12,6 @@ from arnn.evaluate import (
     SystemReport,
     build_itemknn,
     evaluate_system,
-    make_scorer,
     mrr_at_k,
     rank_of,
     recall_at_k,
@@ -217,15 +216,14 @@ def test_evaluation_deterministic_across_runs():
 
 
 def _collect_scores(system, ds, n_batches):
-    scorer = make_scorer(system)
     lanes = max(2, min(50, len(ds.sessions)))
-    scorer.begin(lanes)
+    system.reset(lanes)
     out = []
     for i, batch in enumerate(SessionParallelIterator(ds, lanes)):
         if i == n_batches:
             break
         active = np.flatnonzero(batch.active)
-        out.append(scorer.score(batch, active).copy())
+        out.append(system.logits(batch, active).data.copy())
     return out
 
 
@@ -241,6 +239,43 @@ def test_prefix_only_conditioning_gru_and_arnn():
                      rng=np.random.default_rng(4))
     for a, b in zip(_collect_scores(arnn, base, 2), _collect_scores(arnn, permuted, 2)):
         assert_allclose(a, b)
+
+
+# each kind's scoring call outside the protocol: (system, prev items,
+# contexts, boundary flags, lane ids) -> scores
+REFERENCE_PATHS = {
+    "itemknn": lambda s, prev, ctx, first, lanes: s.sim[prev],
+    "gru": lambda s, prev, ctx, first, lanes: s.scores(s.step(prev, first, lane_ids=lanes)).data,
+    "pnn": lambda s, prev, ctx, first, lanes: s.scores(s.encode(ctx, prev, training=False)).data,
+    "arnn": lambda s, prev, ctx, first, lanes: s.step_scores(prev, ctx, first, lane_ids=lanes,
+                                                             training=False).data,
+}
+
+
+def _build_system(kind, ds):
+    if kind == "itemknn":
+        return build_itemknn(ds, lam=1.0, top_m=4)
+    gru = GruSessionModel(10, 6, dropout=0.3, rng=np.random.default_rng(1))
+    pnn = PnnEncoder.from_schema(ds.schema, 4, 8, rng=np.random.default_rng(2))
+    return {"gru": gru, "pnn": pnn,
+            "arnn": ArnnModel(pnn, gru, 8, rng=np.random.default_rng(3))}[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_PATHS))
+def test_logits_equal_reference_path(kind):
+    # three lanes over sessions of unequal length: lanes start, end and go
+    # inactive mid-stream
+    ds = make_dataset([[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 0, 1], [2, 3], [5, 9, 1]])
+    system, reference = _build_system(kind, ds), _build_system(kind, ds)
+    assert system.kind == kind
+    system.reset(3)
+    reference.reset(3)
+    for batch in SessionParallelIterator(ds, 3):
+        active = np.flatnonzero(batch.active)
+        want = REFERENCE_PATHS[kind](
+            reference, batch.prev_items[active], [batch.contexts[lane] for lane in active],
+            batch.session_boundary[active], active)
+        assert system.logits(batch, active).data.tobytes() == want.tobytes()
 
 
 def test_report_formats():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -431,6 +432,23 @@ def test_checkpoint_dimension_mismatch_names_tensor(tmp_path):
     np.savez(path, **stored)
     with pytest.raises(CheckpointError, match="gru/w_update"):
         load_checkpoint(path, "a" * 64)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"kind": "narm"}, "cannot build a 'narm' model"),
+    ({"hyperparameters": {"hidden": 4}}, "cannot build a 'gru' model"),
+    ({"hyperparameters": [4]}, "cannot build a 'gru' model"),
+    ({"format_version": 0}, "unsupported format 0"),
+])
+def test_checkpoint_bad_meta_rejected(tmp_path, edit, message):
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, small_gru(), "a" * 64)
+    stored = dict(np.load(path))
+    meta = {**json.loads(bytes(stored["meta"])), **edit}
+    stored["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **stored)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
 
 
 def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):

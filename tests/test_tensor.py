@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from arnn import tensor as T
+from arnn.cli import softmax
 from arnn.errors import DegenerateBatchError, NumericError, ShapeError
 from util import assert_param_grads_match
 
@@ -110,33 +111,33 @@ def test_reading_grad_counts_as_writing_everything():
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax (forward only, beside its caller `recommend`)
 
 
 def test_softmax_uniform():
-    out = T.softmax([0.0, 0.0, 0.0])
-    assert_allclose(out.data, [1 / 3] * 3)
+    out = softmax([0.0, 0.0, 0.0])
+    assert_allclose(out, [1 / 3] * 3)
 
 
 def test_softmax_shift_invariance():
     x = RNG.normal(size=(4, 6))
-    assert_allclose(T.softmax(x + 13.7).data, T.softmax(x).data, atol=1e-12)
+    assert_allclose(softmax(x + 13.7), softmax(x), atol=1e-12)
 
 
 def test_softmax_scalar_evaluation():
-    out = T.softmax([1.0, 2.0, 3.0])
-    assert_allclose(out.data, [0.09003, 0.24473, 0.66524], atol=1e-5)
+    out = softmax([1.0, 2.0, 3.0])
+    assert_allclose(out, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
 
 def test_softmax_rows_sum_to_one():
     x = RNG.normal(scale=5.0, size=(8, 5))
-    p = T.softmax(x).data
+    p = softmax(x)
     assert_allclose(p.sum(axis=1), np.ones(8), atol=1e-9)
     assert np.all(p > 0) and np.all(p < 1)
 
 
 def test_softmax_stable_for_extreme_logits():
-    p = T.softmax(np.array([[1e4, -1e4, 0.0]])).data
+    p = softmax(np.array([[1e4, -1e4, 0.0]]))
     assert np.all(np.isfinite(p))
     assert_allclose(p.sum(axis=1), [1.0], atol=1e-9)
 
@@ -272,12 +273,6 @@ def test_grad_affine():
     assert_param_grads_match(lambda: T.sum_all(T.mul(T.affine(x, w, b), s)), [w, b])
 
 
-def test_grad_softmax():
-    w = T.Parameter(RNG.normal(size=(3, 6)), "w")
-    s = RNG.normal(size=(3, 6))
-    assert_param_grads_match(lambda: T.sum_all(T.mul(T.softmax(w), s)), [w])
-
-
 def test_grad_batch_norm_train_and_inference():
     gamma = T.Parameter(RNG.normal(size=4) + 1.0, "gamma")
     beta = T.Parameter(RNG.normal(size=4), "beta")
@@ -398,7 +393,7 @@ def test_grad_composed_random_graphs():
 
         def loss():
             h = T.tanh(T.affine(x, w1, b1))
-            y = T.softmax(T.affine(h, w2, b2))
+            y = T.sigmoid(T.affine(h, w2, b2))
             return T.sum_all(T.mul(y, s))
 
         assert_param_grads_match(loss, [w1, b1, w2, b2])

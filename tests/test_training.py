@@ -6,7 +6,6 @@ from arnn import tensor as T
 from arnn.batching import MiniBatch, SessionParallelIterator, negatives_for
 from arnn.data import FieldSchema, Session, SessionDataset
 from arnn.errors import DataError, NumericError, PrerequisiteError
-from arnn import training as training_module
 from arnn.models import (
     ArnnModel,
     GruSessionModel,
@@ -340,17 +339,14 @@ def test_merge_on_constant_features_matches_step_scores(tmp_path, monkeypatch):
                       pnn_checkpoint=tmp_path / "pnn.npz")
     fast = run_stage(small_plan("merge", epochs=3), ds, tmp_path / "fast", **pretrained)
 
-    constant_path = training_module._stage_logits
-
-    def through_differentiable_blocks(model, batch, active, cols, training, rng):
-        if not isinstance(model, ArnnModel):
-            return constant_path(model, batch, active, cols, training, rng)
+    def through_differentiable_blocks(model, batch, active, cols=None, training=False,
+                                      rng=None):
         prev = batch.prev_items[active]
         c = model.pnn.encode([batch.contexts[lane] for lane in active], prev, training)
         h = model.gru.step(prev, batch.session_boundary[active], lane_ids=active)
         return model.head(c, h, training, cols=cols)
 
-    monkeypatch.setattr(training_module, "_stage_logits", through_differentiable_blocks)
+    monkeypatch.setattr(ArnnModel, "logits", through_differentiable_blocks)
     ref = run_stage(small_plan("merge", epochs=3), ds, tmp_path / "ref", **pretrained)
     assert [h.train_loss for h in fast.history] == [h.train_loss for h in ref.history]
     assert history_tsv(fast.history) == history_tsv(ref.history)
@@ -383,10 +379,9 @@ def test_target_columns_match_full_logits(stage):
     assert 2 <= len(cols) < 9
     results = []
     for model, (cols_arg, lane_targets) in zip(models, [(cols, own), (None, targets)]):
-        if hasattr(model, "reset"):
-            model.reset(6)
-        logits = training_module._stage_logits(model, batch, active, cols_arg, True,
-                                               np.random.default_rng(9))
+        model.reset(6)
+        logits = model.logits(batch, active, cols_arg, training=True,
+                              rng=np.random.default_rng(9))
         loss, n_rows = top1_batch_loss(logits, lane_targets)
         T.backward(loss)
         grads = {p.name: p.grad.copy() for p in model.parameters() if not p.frozen}
