@@ -1,8 +1,16 @@
 """Command-line front door: preprocess, synth, train, evaluate, recommend.
 
-Every command resolves its configuration (file plus flag overrides) and
-validates it fully before touching the filesystem.  Exit codes: 0 success,
-2 configuration error, 3 data error, 4 numeric divergence.
+Each command's options are declared once, in its table of
+``key: (type, default)`` (``PREPROCESS``, ``SYNTH``, ``TRAIN``, ``EVALUATE``,
+``RECOMMEND``).  The table builds the command's parser and names the keys a
+``--config`` file may set.  A key's flag is ``--`` plus the key with ``-`` for
+``_`` (``gap_threshold_seconds`` is ``--gap-threshold-seconds``); a ``bool``
+key is a switch.  Flags beat file values, and file values beat defaults.  A
+table with a ``check_finite`` key runs its command under the non-finite guard
+when that key is true, so the first NaN or Inf an operation produces exits 4.
+
+Every command validates its configuration before it writes anything.  Exit
+codes: 0 success, 2 configuration error, 3 data error, 4 numeric divergence.
 """
 
 from __future__ import annotations
@@ -27,18 +35,14 @@ from .errors import (
 from .evaluate import EvalReport, build_itemknn, evaluate_system, top_k_items
 from .models import load_checkpoint
 from .synth import GeneratorSpec, generate, write_events, write_truth
-from .training import STAGES, history_tsv, make_plan, run_stage
+from .training import history_tsv, make_plan, run_stage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-
-def _resolved(args, known: dict) -> dict:
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {k: getattr(args, k, None) for k in known}
-    return resolve(known, file_values, overrides)
+SYSTEMS = ("itemknn", "gru", "pnn", "arnn")
 
 
 @contextlib.contextmanager
@@ -58,19 +62,17 @@ def _finite_guard(enabled: bool):
 # ---------------------------------------------------------------------------
 # commands
 
+PREPROCESS = {
+    "input": (str, REQUIRED),
+    "out": (str, REQUIRED),
+    "gap_threshold_seconds": (float, 3600.0),
+    "item_coverage": (float, 0.5),
+    "category_coverage": (float, 0.75),
+    "test_window_days": (float, 3.0),
+}
 
-def cmd_preprocess(args) -> int:
-    known = {
-        "input": (str, REQUIRED),
-        "out": (str, REQUIRED),
-        "gap_threshold_seconds": (float, 3600.0),
-        "item_coverage": (float, 0.5),
-        "category_coverage": (float, 0.75),
-        "test_window_days": (float, 3.0),
-    }
-    cfg = _resolved(args, known)
-    if not os.path.exists(cfg["input"]):
-        raise DataError(f"input file not found: {cfg['input']}")
+
+def cmd_preprocess(cfg) -> int:
     events = read_events(cfg["input"])
     train, test, summary = preprocess(
         events,
@@ -89,16 +91,17 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    known = {
-        "out": (str, REQUIRED),
-        "sessions": (int, 2000),
-        "items": (int, 60),
-        "fields": (int, 6),
-        "seed": (int, 0),
-        "context_mode": (str, "informative"),
-    }
-    cfg = _resolved(args, known)
+SYNTH = {
+    "out": (str, REQUIRED),
+    "sessions": (int, 2000),
+    "items": (int, 60),
+    "fields": (int, 6),
+    "seed": (int, 0),
+    "context_mode": (str, "informative"),
+}
+
+
+def cmd_synth(cfg) -> int:
     if cfg["context_mode"] not in ("informative", "random"):
         raise ConfigError(
             f"context_mode must be 'informative' or 'random', got {cfg['context_mode']!r}"
@@ -117,33 +120,29 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    known = {
-        "stage": (str, REQUIRED),
-        "data": (str, REQUIRED),
-        "out": (str, REQUIRED),
-        "profile": (str, "synth"),
-        "seed": (int, 0),
-        "epochs": (int, None),
-        "gru_checkpoint": (str, None),
-        "pnn_checkpoint": (str, None),
-        "check_finite": (bool, False),
-    }
-    cfg = _resolved(args, known)
-    if cfg["stage"] not in STAGES:
-        raise ConfigError(f"stage must be one of {STAGES}, got {cfg['stage']!r}")
+TRAIN = {
+    "stage": (str, REQUIRED),
+    "data": (str, REQUIRED),
+    "out": (str, REQUIRED),
+    "profile": (str, "synth"),
+    "seed": (int, 0),
+    "epochs": (int, None),
+    "gru_checkpoint": (str, None),
+    "pnn_checkpoint": (str, None),
+    "check_finite": (bool, False),
+}
+
+
+def cmd_train(cfg) -> int:
     overrides = {}
     if cfg["epochs"] is not None:
         overrides["epochs"] = cfg["epochs"]
     plan = make_plan(cfg["stage"], cfg["profile"], cfg["seed"], **overrides)
-    if not os.path.exists(cfg["data"]):
-        raise DataError(f"dataset not found: {cfg['data']}")
     dataset = SessionDataset.load(cfg["data"])
     gru_ckpt = cfg["gru_checkpoint"] or os.path.join(cfg["out"], "gru.npz")
     pnn_ckpt = cfg["pnn_checkpoint"] or os.path.join(cfg["out"], "pnn.npz")
-    with _finite_guard(cfg["check_finite"]):
-        result = run_stage(plan, dataset, cfg["out"],
-                           gru_checkpoint=gru_ckpt, pnn_checkpoint=pnn_ckpt)
+    result = run_stage(plan, dataset, cfg["out"],
+                       gru_checkpoint=gru_ckpt, pnn_checkpoint=pnn_ckpt)
     history_path = os.path.join(cfg["out"], f"{cfg['stage']}_history.tsv")
     with open(history_path, "w", encoding="utf-8") as fh:
         fh.write(history_tsv(result.history, k=plan.eval_k))
@@ -160,38 +159,36 @@ def _load_system(name: str, checkpoint_dir: str, schema_hash: str, train_data):
     return load_checkpoint(path, schema_hash, name)
 
 
-def cmd_evaluate(args) -> int:
-    known = {
-        "data": (str, REQUIRED),
-        "train_data": (str, None),
-        "checkpoints": (str, None),
-        "systems": (str, "itemknn,gru,pnn,arnn"),
-        "k": (int, 20),
-        "out": (str, None),
-        "check_finite": (bool, False),
-    }
-    cfg = _resolved(args, known)
+EVALUATE = {
+    "data": (str, REQUIRED),
+    "train_data": (str, None),
+    "checkpoints": (str, None),
+    "systems": (str, ",".join(SYSTEMS)),
+    "k": (int, 20),
+    "out": (str, None),
+    "check_finite": (bool, False),
+}
+
+
+def cmd_evaluate(cfg) -> int:
     systems = [s.strip() for s in cfg["systems"].split(",") if s.strip()]
     if not systems:
         raise ConfigError("no systems requested")
     if cfg["k"] < 1:
         raise ConfigError(f"k must be at least 1, got {cfg['k']}")
     for name in systems:
-        if name not in ("itemknn", "gru", "pnn", "arnn"):
+        if name not in SYSTEMS:
             raise ConfigError(f"unknown system {name!r}")
     if "itemknn" in systems and not cfg["train_data"]:
         raise ConfigError("system 'itemknn' needs --train-data")
     if any(s != "itemknn" for s in systems) and not cfg["checkpoints"]:
         raise ConfigError("model systems need --checkpoints")
-    if not os.path.exists(cfg["data"]):
-        raise DataError(f"dataset not found: {cfg['data']}")
     test = SessionDataset.load(cfg["data"])
     train = SessionDataset.load(cfg["train_data"]) if cfg["train_data"] else None
     rows = []
-    with _finite_guard(cfg["check_finite"]):
-        for name in systems:
-            system = _load_system(name, cfg["checkpoints"], test.schema.hash(), train)
-            rows.append(evaluate_system(system, test, k=cfg["k"], name=name))
+    for name in systems:
+        system = _load_system(name, cfg["checkpoints"], test.schema.hash(), train)
+        rows.append(evaluate_system(system, test, k=cfg["k"], name=name))
     report = EvalReport(rows)
     print(report.format_table())
     if cfg["out"]:
@@ -223,29 +220,29 @@ def softmax(x) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cmd_recommend(args) -> int:
-    known = {
-        "checkpoint": (str, REQUIRED),
-        "data": (str, REQUIRED),
-        "items": (str, REQUIRED),
-        "attrs": (str, ""),
-        "k": (int, 10),
-    }
-    cfg = _resolved(args, known)
+RECOMMEND = {
+    "checkpoint": (str, REQUIRED),
+    "data": (str, REQUIRED),
+    "items": (str, REQUIRED),
+    "attrs": (str, ""),
+    "k": (int, 10),
+}
+
+
+def cmd_recommend(cfg) -> int:
     if cfg["k"] < 1:
         raise ConfigError(f"k must be at least 1, got {cfg['k']}")
-    if not os.path.exists(cfg["data"]):
-        raise DataError(f"dataset not found: {cfg['data']}")
-    schema = read_schema(cfg["data"])
-    model = load_checkpoint(cfg["checkpoint"], schema.hash())
     item_ids = [s.strip() for s in cfg["items"].split(",") if s.strip()]
     if not item_ids:
         raise ConfigError("need at least one item in the session prefix")
+    attrs = _parse_attrs(cfg["attrs"])
+    schema = read_schema(cfg["data"])
+    model = load_checkpoint(cfg["checkpoint"], schema.hash())
     unknown = [i for i in item_ids if not schema.has_item(i)]
     if unknown:
         raise VocabularyError(f"items not in the vocabulary: {', '.join(unknown)}")
     indices = [schema.item_index(i) for i in item_ids]
-    context = schema.encode(_parse_attrs(cfg["attrs"]))
+    context = schema.encode(attrs)
     # the prefix as a one-lane session, a step at a time
     lane = np.arange(1)
     model.reset(1)
@@ -263,6 +260,15 @@ def cmd_recommend(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# name -> (handler, option table, help)
+COMMANDS = {
+    "preprocess": (cmd_preprocess, PREPROCESS, "events file -> train/test datasets"),
+    "synth": (cmd_synth, SYNTH, "generate synthetic context-dependent sessions"),
+    "train": (cmd_train, TRAIN, "train one stage (gru, pnn, or merge)"),
+    "evaluate": (cmd_evaluate, EVALUATE, "score systems on a test dataset"),
+    "recommend": (cmd_recommend, RECOMMEND, "top-k next items for a session prefix"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -270,71 +276,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Session recommender: context-augmented recurrent model tooling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preprocess", help="events file -> train/test datasets")
-    p.add_argument("--config")
-    p.add_argument("--input")
-    p.add_argument("--out")
-    p.add_argument("--gap-threshold-seconds", dest="gap_threshold_seconds", type=float)
-    p.add_argument("--item-coverage", dest="item_coverage", type=float)
-    p.add_argument("--category-coverage", dest="category_coverage", type=float)
-    p.add_argument("--test-window-days", dest="test_window_days", type=float)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("synth", help="generate synthetic context-dependent sessions")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--sessions", type=int)
-    p.add_argument("--items", type=int)
-    p.add_argument("--fields", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--context-mode", dest="context_mode",
-                   choices=["informative", "random"])
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train one stage (gru, pnn, or merge)")
-    p.add_argument("--config")
-    p.add_argument("--stage", choices=list(STAGES))
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--profile", choices=["xing", "tmall", "synth"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--gru-checkpoint", dest="gru_checkpoint")
-    p.add_argument("--pnn-checkpoint", dest="pnn_checkpoint")
-    p.add_argument("--check-finite", dest="check_finite", action="store_true",
-                   default=None, help="fail with exit code 4 on the first NaN or Inf")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score systems on a test dataset")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--train-data", dest="train_data")
-    p.add_argument("--checkpoints")
-    p.add_argument("--systems")
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
-    p.add_argument("--check-finite", dest="check_finite", action="store_true",
-                   default=None, help="fail with exit code 4 on the first NaN or Inf")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("recommend", help="top-k next items for a session prefix")
-    p.add_argument("--config")
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--items")
-    p.add_argument("--attrs")
-    p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_recommend)
-
+    for name, (_, table, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config")
+        for key, (kind, _) in table.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, type=kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, table, _ = COMMANDS[args.command]
     try:
-        return args.func(args)
+        file_values = parse_config_file(args.config) if args.config else {}
+        cfg = resolve(table, file_values, {k: getattr(args, k) for k in table})
+        guard = _finite_guard(cfg["check_finite"]) if "check_finite" in cfg else None
+        with guard or contextlib.nullcontext():
+            return handler(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -177,12 +177,10 @@ class SessionDataset:
     @classmethod
     def load(cls, path) -> "SessionDataset":
         """Read a saved dataset; every context position must lie in the schema's layout."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        schema = FieldSchema.from_dict(doc["schema"])
+        schema, raw_sessions = _read_dataset(path)
         width = schema.one_hot_length
         sessions = []
-        for s in doc["sessions"]:
+        for s in raw_sessions:
             steps = [(tuple(ctx), item) for ctx, item in s["steps"]]
             for ctx, _ in steps:
                 if ctx and not (min(ctx) >= 0 and max(ctx) < width):
@@ -195,10 +193,29 @@ class SessionDataset:
         return cls(sessions=sessions, schema=schema)
 
 
+def _read_dataset(path) -> tuple[FieldSchema, list]:
+    """The schema and the raw session list of a saved dataset file.
+
+    A file that cannot be opened or parsed raises DataError, as does one
+    whose top level is not a saved dataset's ``schema`` and ``sessions``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: unreadable dataset: {exc}") from None
+    if not (isinstance(doc, dict) and "schema" in doc and isinstance(doc.get("sessions"), list)):
+        raise DataError(f"{path}: not a saved dataset: its top level needs "
+                        f"'schema' and a 'sessions' list")
+    try:
+        return FieldSchema.from_dict(doc["schema"]), doc["sessions"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: not a saved dataset: bad schema: {exc!r}") from None
+
+
 def read_schema(path) -> FieldSchema:
     """The schema of a saved dataset, without building its sessions."""
-    with open(path, encoding="utf-8") as fh:
-        return FieldSchema.from_dict(json.load(fh)["schema"])
+    return _read_dataset(path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,41 +228,49 @@ def read_events(path, delimiter: str = "\t", multi_delimiter: str = "|") -> list
     Columns: user_id, item_id, timestamp, then one column per context field.
     Multi-valued attributes separate values with ``multi_delimiter``; empty
     cells mean no value.
+    A file that cannot be opened or decoded as UTF-8 raises DataError.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_events(fh, path, delimiter, multi_delimiter)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: unreadable events file: {exc}") from None
+
+
+def _parse_events(fh, path, delimiter: str, multi_delimiter: str) -> list[RawEvent]:
     events = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header:
-            raise ParseError(f"{path}: empty file")
-        cols = header.split(delimiter)
-        if cols[:3] != ["user_id", "item_id", "timestamp"]:
+    header = fh.readline().rstrip("\n")
+    if not header:
+        raise ParseError(f"{path}: empty file")
+    cols = header.split(delimiter)
+    if cols[:3] != ["user_id", "item_id", "timestamp"]:
+        raise ParseError(
+            f"{path}:1: header must start with user_id, item_id, timestamp; got {cols[:3]}"
+        )
+    field_names = cols[3:]
+    for lineno, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != len(cols):
             raise ParseError(
-                f"{path}:1: header must start with user_id, item_id, timestamp; got {cols[:3]}"
+                f"{path}:{lineno}: expected {len(cols)} columns, got {len(parts)}"
             )
-        field_names = cols[3:]
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != len(cols):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(cols)} columns, got {len(parts)}"
-                )
-            user_id, item_id, ts_raw = parts[0], parts[1], parts[2]
-            if not item_id:
-                raise ParseError(f"{path}:{lineno}: empty item_id")
-            try:
-                ts = int(ts_raw)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad timestamp {ts_raw!r}") from None
-            if ts < 0:
-                raise ParseError(f"{path}:{lineno}: negative timestamp {ts}")
-            attrs = {}
-            for name, cell in zip(field_names, parts[3:]):
-                values = [v for v in cell.split(multi_delimiter) if v] if cell else []
-                attrs[name] = values
-            events.append(RawEvent(user_id, item_id, ts, attrs))
+        user_id, item_id, ts_raw = parts[0], parts[1], parts[2]
+        if not item_id:
+            raise ParseError(f"{path}:{lineno}: empty item_id")
+        try:
+            ts = int(ts_raw)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad timestamp {ts_raw!r}") from None
+        if ts < 0:
+            raise ParseError(f"{path}:{lineno}: negative timestamp {ts}")
+        attrs = {}
+        for name, cell in zip(field_names, parts[3:]):
+            values = [v for v in cell.split(multi_delimiter) if v] if cell else []
+            attrs[name] = values
+        events.append(RawEvent(user_id, item_id, ts, attrs))
     return events
 
 

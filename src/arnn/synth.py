@@ -44,6 +44,9 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_sessions", "n_items", "n_fields"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.n_items % self.n_fields != 0:
             raise ConfigError(
                 f"items ({self.n_items}) must divide evenly into {self.n_fields} layers"

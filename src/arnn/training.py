@@ -155,6 +155,8 @@ class TrainPlan:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}; expected one of {STAGES}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
 
 
 # hidden/context/merge sizes and dropout per published profile; learning

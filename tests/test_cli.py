@@ -341,3 +341,109 @@ def test_evaluate_schema_mismatch_exits_3(tmp_path, synth_dir):
         "--systems", "gru", "--checkpoints", str(synth_dir["ckpt"]),
     ])
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# option tables, argument checks and loader errors
+
+
+def _one_line(err: str, prefix: str) -> bool:
+    return err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_missing_train_data_exits_3(synth_dir, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["evaluate", "--data", str(synth_dir["data"] / "test.json"),
+                 "--train-data", str(missing), "--systems", "itemknn"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err, f"data error: {missing}: unreadable dataset")
+
+
+@pytest.mark.parametrize("content", ["user_id\titem_id\ttimestamp\n", '{"schema": 1}'])
+@pytest.mark.parametrize("command", ["train", "evaluate", "recommend"])
+def test_not_a_dataset_exits_3(synth_dir, tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--stage", "gru", "--data", str(bad), "--out", str(out),
+                  "--epochs", "1"],
+        "evaluate": ["evaluate", "--data", str(bad), "--checkpoints",
+                     str(synth_dir["ckpt"]), "--systems", "gru", "--out", str(out)],
+        "recommend": ["recommend", "--checkpoint", str(synth_dir["ckpt"] / "gru.npz"),
+                      "--data", str(bad), "--items", "item000"],
+    }[command]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err, f"data error: {bad}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--stage", "bogus"], "unknown stage 'bogus'"),
+    (["train", "--stage", "gru", "--profile", "bogus"], "unknown profile 'bogus'"),
+    (["synth", "--context-mode", "bogus"], "context_mode must be"),
+])
+def test_bad_choice_returns_2(synth_dir, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    data = ["--data", str(synth_dir["data"] / "train.json")] if argv[0] == "train" else []
+    # returned by main, not raised by argparse as SystemExit
+    assert main(argv + data + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err, "configuration error: ") and message in err
+    assert not out.exists()
+
+
+def _sample(key: str, kind):
+    return {int: 7, float: 2.5, str: f"{key}-value", bool: True}[kind]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_table_key_is_a_flag_and_a_config_key(command, tmp_path, monkeypatch):
+    _, table, help_text = cli.COMMANDS[command]
+    assert set(vars(cli.build_parser().parse_args([command]))) == {"command", "config", *table}
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        (lambda cfg: seen.append(cfg) or 0, table, help_text))
+    flags, lines = [], []
+    for key, (kind, default) in table.items():
+        value = _sample(key, kind)
+        assert value != default
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if kind is bool else [flag, str(value)]
+        lines.append(f"{key}={value}")
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main([command] + flags) == 0
+    assert main([command, "--config", str(cfg)]) == 0
+    want = {key: _sample(key, kind) for key, (kind, _) in table.items()}
+    assert seen == [want, want]
+
+
+@pytest.mark.parametrize("items, attrs", [(",", "f0=cat0"), ("item000", "f0")])
+def test_recommend_checks_arguments_before_files(synth_dir, tmp_path, capsys, items, attrs):
+    code = main(["recommend", "--checkpoint", str(tmp_path / "missing.npz"),
+                 "--data", str(synth_dir["data"] / "train.json"),
+                 "--items", items, "--attrs", attrs])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err, "configuration error: ")
+
+
+def test_negative_epochs_exits_2(synth_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--stage", "gru", "--data", str(synth_dir["data"] / "train.json"),
+                 "--out", str(out), "--epochs", "-3"]) == 2
+    assert "epochs must be non-negative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--sessions", "n_sessions"), ("--items", "n_items"),
+                                        ("--fields", "n_fields")])
+def test_synth_sizes_below_one_exit_2(tmp_path, capsys, flag, name):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), flag, "0"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err, "configuration error: ") and f"{name} must be at least 1" in err
+    assert not out.exists()

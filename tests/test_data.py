@@ -360,6 +360,42 @@ def test_read_schema_matches_full_load(tmp_path):
     assert schema.has_item("i4") and not schema.has_item("i5")
 
 
+_NOT_DATASETS = {
+    "missing": None,
+    "directory": "dir",
+    "not json": b"user_id\titem_id\ttimestamp\n",
+    "not utf-8": b"\xff\xfe\x00{",
+    "schema only": b'{"schema": 1}',
+    "top level list": b"[1, 2]",
+    "sessions not a list": b'{"schema": {"fields": [], "item_vocabulary": []}, "sessions": 1}',
+    "bad schema": b'{"schema": 1, "sessions": []}',
+}
+
+
+@pytest.mark.parametrize("reader", [D.SessionDataset.load, D.read_schema])
+@pytest.mark.parametrize("how", sorted(_NOT_DATASETS))
+def test_dataset_readers_raise_data_error(tmp_path, reader, how):
+    path = tmp_path / "ds.json"
+    content = _NOT_DATASETS[how]
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match=f"^{path}: "):
+        reader(path)
+
+
+@pytest.mark.parametrize("how", ["missing", "directory", "not utf-8"])
+def test_read_events_raises_data_error_for_unreadable_file(tmp_path, how):
+    path = tmp_path / "events.tsv"
+    if how == "directory":
+        path.mkdir()
+    elif how == "not utf-8":
+        path.write_bytes(b"user_id\titem_id\ttimestamp\nu\t\xff\t1\n")
+    with pytest.raises(DataError, match=f"^{path}: unreadable events file"):
+        D.read_events(path)
+
+
 def test_preprocess_end_to_end():
     day = 86400
     events = []

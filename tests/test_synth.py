@@ -104,3 +104,10 @@ def test_bad_specs_rejected():
         GeneratorSpec(max_len=20)
     with pytest.raises(ConfigError):
         GeneratorSpec(categories_per_field=3)
+
+
+@pytest.mark.parametrize("field", ["n_sessions", "n_items", "n_fields"])
+@pytest.mark.parametrize("value", [0, -6])
+def test_sizes_below_one_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be at least 1, got {value}"):
+        GeneratorSpec(**{field: value})

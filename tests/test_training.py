@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from arnn import tensor as T
 from arnn.batching import MiniBatch, SessionParallelIterator, negatives_for
 from arnn.data import FieldSchema, Session, SessionDataset
-from arnn.errors import DataError, NumericError, PrerequisiteError
+from arnn.errors import ConfigError, DataError, NumericError, PrerequisiteError
 from arnn.models import (
     ArnnModel,
     GruSessionModel,
@@ -421,3 +421,10 @@ def test_history_tsv_format():
     text = history_tsv([EpochStats(0, 1.0, 0.5, 0.25)])
     assert text.splitlines()[0] == "epoch\ttrain_loss\tval_recall@20\tval_mrr@20"
     assert text.splitlines()[1] == "0\t1.000000\t0.500000\t0.250000"
+
+
+@pytest.mark.parametrize("epochs", [-1, -3])
+def test_negative_epochs_rejected(epochs):
+    with pytest.raises(ConfigError, match="epochs must be non-negative"):
+        make_plan("gru", "synth", 0, epochs=epochs)
+    assert make_plan("merge", "synth", 0, epochs=0).epochs == 0
