@@ -29,6 +29,9 @@ from .errors import (
 )
 
 UNKNOWN = "unknown"
+# event-log columns, and the values within a multi-valued attribute cell
+DELIMITER = "\t"
+MULTI_DELIMITER = "|"
 
 
 @dataclass
@@ -156,10 +159,6 @@ class SessionDataset:
                 if not 0 <= item < n_items:
                     raise DataError(f"item index {item} outside vocabulary of {n_items}")
 
-    @property
-    def n_transactions(self) -> int:
-        return sum(len(s.steps) for s in self.sessions)
-
     def item_set(self) -> set[int]:
         return {item for s in self.sessions for _, item in s.steps}
 
@@ -176,19 +175,34 @@ class SessionDataset:
 
     @classmethod
     def load(cls, path) -> "SessionDataset":
-        """Read a saved dataset; every context position must lie in the schema's layout."""
+        """Read a saved dataset; every context position must lie in the schema's layout.
+
+        A session that is not an object with an integer ``start`` and a
+        ``steps`` list, or a step that is not a [positions, item] pair of
+        integers, raises DataError naming the session.
+        """
         schema, raw_sessions = _read_dataset(path)
         width = schema.one_hot_length
         sessions = []
-        for s in raw_sessions:
-            steps = [(tuple(ctx), item) for ctx, item in s["steps"]]
-            for ctx, _ in steps:
-                if ctx and not (min(ctx) >= 0 and max(ctx) < width):
-                    p = next(p for p in ctx if not 0 <= p < width)
+        for n, s in enumerate(raw_sessions):
+            # `type(v) is int`: a JSON bool or float is not an index
+            if not (isinstance(s, dict) and type(s.get("start")) is int
+                    and isinstance(s.get("steps"), list)):
+                raise DataError(f"{path}: session {n}: not an object with an integer "
+                                f"'start' and a 'steps' list")
+            steps = []
+            for step in s["steps"]:
+                if not (isinstance(step, list) and len(step) == 2 and isinstance(step[0], list)
+                        and all(type(p) is int for p in step[0]) and type(step[1]) is int):
+                    raise DataError(f"{path}: session {n}: step {step!r} is not a "
+                                    f"[positions, item] pair of integers")
+                outside = [p for p in step[0] if not 0 <= p < width]
+                if outside:
                     raise SchemaError(
-                        f"{path}: context position {p} outside the one-hot layout "
+                        f"{path}: context position {outside[0]} outside the one-hot layout "
                         f"of length {width}"
                     )
+                steps.append((tuple(step[0]), step[1]))
             sessions.append(Session(steps=steps, start_time=s["start"]))
         return cls(sessions=sessions, schema=schema)
 
@@ -222,27 +236,27 @@ def read_schema(path) -> FieldSchema:
 # ingestion
 
 
-def read_events(path, delimiter: str = "\t", multi_delimiter: str = "|") -> list[RawEvent]:
-    """Parse a delimited event log with a header row.
+def read_events(path) -> list[RawEvent]:
+    """Parse a tab-separated event log with a header row.
 
     Columns: user_id, item_id, timestamp, then one column per context field.
-    Multi-valued attributes separate values with ``multi_delimiter``; empty
-    cells mean no value.
+    Multi-valued attributes separate values with ``|``; empty cells mean no
+    value.
     A file that cannot be opened or decoded as UTF-8 raises DataError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return _parse_events(fh, path, delimiter, multi_delimiter)
+            return _parse_events(fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: unreadable events file: {exc}") from None
 
 
-def _parse_events(fh, path, delimiter: str, multi_delimiter: str) -> list[RawEvent]:
+def _parse_events(fh, path) -> list[RawEvent]:
     events = []
     header = fh.readline().rstrip("\n")
     if not header:
         raise ParseError(f"{path}: empty file")
-    cols = header.split(delimiter)
+    cols = header.split(DELIMITER)
     if cols[:3] != ["user_id", "item_id", "timestamp"]:
         raise ParseError(
             f"{path}:1: header must start with user_id, item_id, timestamp; got {cols[:3]}"
@@ -252,7 +266,7 @@ def _parse_events(fh, path, delimiter: str, multi_delimiter: str) -> list[RawEve
         line = line.rstrip("\n")
         if not line:
             continue
-        parts = line.split(delimiter)
+        parts = line.split(DELIMITER)
         if len(parts) != len(cols):
             raise ParseError(
                 f"{path}:{lineno}: expected {len(cols)} columns, got {len(parts)}"
@@ -268,7 +282,7 @@ def _parse_events(fh, path, delimiter: str, multi_delimiter: str) -> list[RawEve
             raise ParseError(f"{path}:{lineno}: negative timestamp {ts}")
         attrs = {}
         for name, cell in zip(field_names, parts[3:]):
-            values = [v for v in cell.split(multi_delimiter) if v] if cell else []
+            values = [v for v in cell.split(MULTI_DELIMITER) if v] if cell else []
             attrs[name] = values
         events.append(RawEvent(user_id, item_id, ts, attrs))
     return events

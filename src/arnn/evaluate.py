@@ -97,56 +97,41 @@ class ItemKnnIndex:
         return T.constant(rows if cols is None else rows[:, cols])
 
 
-# rows of the item-KNN table built at a time: bounds the [rows, V]
-# co-occurrence and sort temporaries, so only the [V, V] result is held whole
-KNN_BLOCK_ROWS = 256
-
-
 def build_itemknn(train: SessionDataset, lam: float = 20.0, top_m: int = 100
                   ) -> ItemKnnIndex:
     """sim(i,j) = |sessions with both| / (sqrt(n_i) * sqrt(n_j) + lam).
 
-    Co-occurrences are counted from the item pairs within each session, not
-    from a [sessions, V] incidence product, and the table is filled a block
-    of rows at a time.
+    Every nonzero entry comes from two distinct items sharing a session, so
+    the table is built from those pairs alone: each ordered pair (i, j) is
+    counted once per session, its value computed, and the pairs sorted by
+    row, then value descending, then column ascending.  The first top_m of
+    each row go into the zero table, which breaks ties at the cut by
+    ascending column.  No [sessions, V] or [rows, V] array is made.
     """
     if not train.sessions:
         raise EvaluationError("cannot build an item index from an empty dataset")
     n_items = len(train.schema.item_vocabulary)
-    sessions = train.sessions
-    incidence = np.zeros((len(sessions), n_items), dtype=bool)
-    incidence[np.repeat(np.arange(len(sessions)), [len(s.steps) for s in sessions]),
-              [item for s in sessions for _, item in s.steps]] = True
-    root = np.sqrt(incidence.sum(axis=0))
-    # each session's distinct items, session by session
-    session, item = np.divmod(np.flatnonzero(incidence), n_items)
-    basket_size = incidence.sum(axis=1)
-    basket_begin = np.cumsum(basket_size) - basket_size
-    # every ordered pair (i, j) of items sharing a session, i == j included,
-    # as the key i * V + j: entry e pairs with each entry of its own basket
-    size = basket_size[session]
-    partner = np.repeat(basket_begin[session] - (np.cumsum(size) - size), size)
-    partner += np.arange(len(partner))
-    key = np.repeat(item, size)
-    key *= n_items
-    key += item[partner]
-    del partner
+    # each session's distinct items, sorted by session, then item
+    session = np.repeat(np.arange(len(train.sessions)), [len(s.steps) for s in train.sessions])
+    step_item = [item for s in train.sessions for _, item in s.steps]
+    session, item = np.divmod(np.unique(session * n_items + step_item), n_items)
+    root = np.sqrt(np.bincount(item, minlength=n_items))
+    # pair each entry with every entry of its own session, itself included
+    begin = np.searchsorted(session, session)
+    size = np.searchsorted(session, session, side="right") - begin
+    partner = np.repeat(begin - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    pair, co = np.unique(np.repeat(item, size) * n_items + item[partner],
+                         return_counts=True)
+    i, j = np.divmod(pair, n_items)
+    off_diagonal = i != j
+    i, j, co = i[off_diagonal], j[off_diagonal], co[off_diagonal]
+    # co >= 1 and n_i, n_j >= 1, so no denominator is below 1 for lam >= 0
+    value = co / (root[i] * root[j] + lam)
+    order = np.lexsort((j, -value, i))
+    i, j, value = i[order], j[order], value[order]
+    keep = np.arange(len(i)) - np.searchsorted(i, i) < top_m
     sim = np.zeros((n_items, n_items))
-    for start in range(0, n_items, KNN_BLOCK_ROWS):
-        stop = min(start + KNN_BLOCK_ROWS, n_items)
-        rows = np.arange(stop - start)
-        lo, hi = start * n_items, stop * n_items
-        co = np.bincount(key[(key >= lo) & (key < hi)] - lo,
-                         minlength=hi - lo).reshape(len(rows), n_items)
-        denom = root[start:stop, None] * root[None, :] + lam
-        with np.errstate(invalid="ignore", divide="ignore"):
-            part = np.where(denom > 0, co / denom, 0.0)
-        part[rows, rows + start] = 0.0
-        if top_m < n_items:
-            top = np.argsort(-part, axis=1, kind="stable")[:, :top_m]
-            sim[start + rows[:, None], top] = part[rows[:, None], top]
-        else:
-            sim[start:stop] = part
+    sim[i[keep], j[keep]] = value[keep]
     return ItemKnnIndex(sim=sim, lam=lam, top_m=top_m)
 
 

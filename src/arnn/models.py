@@ -60,20 +60,16 @@ def _item_scores(x, weight, bias, cols) -> T.Tensor:
 class BatchNorm:
     """Batch normalization layer owning scale/shift and running statistics."""
 
-    def __init__(self, dim: int, prefix: str, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, dim: int, prefix: str):
         self.gamma = T.Parameter(np.ones(dim), f"{prefix}_gamma")
         self.beta = T.Parameter(np.zeros(dim), f"{prefix}_beta")
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
         self.prefix = prefix
 
     def __call__(self, x, training: bool) -> T.Tensor:
-        return T.batch_norm(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training, momentum=self.momentum, eps=self.eps,
-        )
+        return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
+                            self.running_var, training)
 
     def parameters(self):
         return [self.gamma, self.beta]

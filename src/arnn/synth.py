@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import RawEvent
+from .data import DELIMITER, MULTI_DELIMITER, RawEvent
 from .errors import ConfigError
 
 BASE_TIMESTAMP = 1_600_000_000
@@ -44,9 +44,9 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_sessions", "n_items", "n_fields"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, low in (("n_sessions", 1), ("n_items", 1), ("n_fields", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.n_items % self.n_fields != 0:
             raise ConfigError(
                 f"items ({self.n_items}) must divide evenly into {self.n_fields} layers"
@@ -142,11 +142,11 @@ def expected_next(truth: dict, attributes: dict[str, list[str]], prev_item: str)
 
 def write_events(events: list[RawEvent], path, field_names: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(["user_id", "item_id", "timestamp"] + field_names) + "\n")
+        fh.write(DELIMITER.join(["user_id", "item_id", "timestamp"] + field_names) + "\n")
         for e in events:
             cells = [e.user_id, e.item_id, str(e.timestamp)]
-            cells += ["|".join(e.attributes.get(name, [])) for name in field_names]
-            fh.write("\t".join(cells) + "\n")
+            cells += [MULTI_DELIMITER.join(e.attributes.get(name, [])) for name in field_names]
+            fh.write(DELIMITER.join(cells) + "\n")
 
 
 def write_truth(truth: dict, path) -> None:

@@ -8,8 +8,7 @@ zeroed, which is what truncated backpropagation needs.
 
 Only the broadcasting the model code actually uses is supported (bias
 rows, per-row scalars); there are no GPU kernels or graph rewrites.
-float64 is the default so finite-difference checks have headroom; pass
-float32 arrays for speed.
+Arrays are float64, so finite-difference checks have headroom.
 
 Gradients stay dense arrays, but a Parameter records where backward wrote
 into them: ``embedding`` marks the rows it gathered and ``affine_columns``
@@ -430,9 +429,11 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 # batch normalization
 
+BN_MOMENTUM = 0.1  # weight of each batch in the running statistics
+BN_EPS = 1e-5
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
-               momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+
+def batch_norm(x, gamma, beta, running_mean, running_var, training: bool) -> Tensor:
     """Per-feature batch normalization over rows of x[B,D].
 
     Training mode normalizes by the batch mean and biased variance and
@@ -448,10 +449,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
             raise DegenerateBatchError(f"batch_norm training mode needs at least 2 rows, got {n}")
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mu) * inv_std
-        running_mean[...] = (1.0 - momentum) * running_mean + momentum * mu
-        running_var[...] = (1.0 - momentum) * running_var + momentum * var
+        running_mean[...] = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+        running_var[...] = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
         out = gamma.data * xhat + beta.data
 
         def bwd(g):
@@ -463,7 +464,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training: bool,
             _acc(x, gx)
 
     else:
-        inv_std = 1.0 / np.sqrt(running_var + eps)
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
         xhat = (x.data - running_mean) * inv_std
         out = gamma.data * xhat + beta.data
 
@@ -578,8 +579,9 @@ def take_rc(x, rows, cols) -> Tensor:
 # initialization
 
 
-def glorot_uniform(shape, rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> np.ndarray:
+def glorot_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     """Uniform in +-sqrt(6/(fan_in+fan_out)) over a 2-D shape."""
     fan_in, fan_out = shape[0], shape[1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    # the copy frees the draw, which raises glibc's mmap threshold: fewer faults in training
+    return rng.uniform(-limit, limit, size=shape).astype(DEFAULT_DTYPE)

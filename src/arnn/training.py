@@ -85,6 +85,8 @@ def top1_batch_loss(logits: T.Tensor, targets) -> tuple[T.Tensor | None, int]:
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAGRAD_EPS = 1e-10
+
 
 class Adagrad:
     """Adaptive-gradient steps with decoupled weight decay.
@@ -100,8 +102,7 @@ class Adagrad:
     (the same values; only a -0.0 entry could come out as +0.0).
     """
 
-    def __init__(self, params, learning_rate: float, weight_decay: float = 0.0,
-                 eps: float = 1e-10):
+    def __init__(self, params, learning_rate: float, weight_decay: float = 0.0):
         if learning_rate <= 0:
             raise ConfigError(f"learning rate must be positive, got {learning_rate}")
         if weight_decay < 0:
@@ -109,7 +110,6 @@ class Adagrad:
         self.params = list(params)
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.eps = eps
 
     def step(self) -> None:
         lr, wd = self.learning_rate, self.weight_decay
@@ -121,7 +121,7 @@ class Adagrad:
                 # views when `where` is everything, copies of the slices otherwise
                 acc, value = p.accumulator[where], p.value[where]
                 acc += g * g
-                value -= lr * g / (np.sqrt(acc) + self.eps) + lr * wd * value
+                value -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS) + lr * wd * value
                 if where is not ...:
                     p.accumulator[where] = acc
                     if wd > 0:
@@ -157,6 +157,8 @@ class TrainPlan:
             raise ConfigError(f"unknown stage {self.stage!r}; expected one of {STAGES}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 # hidden/context/merge sizes and dropout per published profile; learning

@@ -1,18 +1,21 @@
 """The benchmark's contract with the program, read from `perfbench/`.
 
 The traced run swaps each `(owner, attribute)` of `spans.TARGETS` by looking
-it up in `owner.__dict__`, and the recommend calls go through `cli.main`.
-A refactor that breaks either would only show when the benchmark runs.
+it up in `owner.__dict__`, the recommend calls go through `cli.main`, and
+every run checks the item-KNN table against `checks.itemknn_rows`.  A
+refactor that breaks any of these would only show when the benchmark runs.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arnn import cli
 from arnn.data import FieldSchema, Session, SessionDataset
+from arnn.evaluate import build_itemknn
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +57,21 @@ def test_bench_recommend_argv_parses(perfbench, monkeypatch, tmp_path):
     assert (args.command, args.checkpoint, args.data) == ("recommend",
                                                           paths.checkpoint("merge"), paths.train)
     assert (args.items, args.attrs, args.k) == ("i2,i0", "f0=a;f1=d", workloads.RECOMMEND_K)
+
+
+@pytest.mark.parametrize("workload", ["desk", "vocab"])
+def test_itemknn_table_passes_the_bench_check(perfbench, monkeypatch, tmp_path, workload):
+    workloads = perfbench("workloads")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # checks imports it by name
+    checks = perfbench("checks")
+    w = workloads.WORKLOADS[workload]
+    paths = workloads.Paths(str(tmp_path))
+    workloads.set_up(w, 1, paths)
+    r = workloads.Round()
+    workloads._ingest(r, w, paths)
+    assert checks.itemknn_rows(build_itemknn(r.train), r.train, 1) == []
+    # no row of either training split has more than the default 100
+    # neighbours, so a smaller top_m makes the cut act
+    whole = build_itemknn(r.train, top_m=len(r.train.schema.item_vocabulary))
+    assert np.count_nonzero(whole.sim, axis=1).max() > 5
+    assert checks.itemknn_rows(build_itemknn(r.train, top_m=5), r.train, 1) == []

@@ -247,6 +247,18 @@ def test_evaluate_out_of_layout_context_exits_3(synth_dir, tmp_path, capsys):
     assert f"position {width} outside" in capsys.readouterr().err
 
 
+def test_evaluate_float_item_exits_3(synth_dir, tmp_path, capsys):
+    # read as an index, 1.5 would pass the vocabulary check and score as item 1
+    doc = json.loads((synth_dir["data"] / "test.json").read_text())
+    doc["sessions"][0]["steps"][0][1] = 1.5
+    bad = tmp_path / "test.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["evaluate", "--data", str(bad), "--checkpoints",
+                 str(synth_dir["ckpt"]), "--systems", "gru"])
+    err = capsys.readouterr().err
+    assert code == 3 and _one_line(err, f"data error: {bad}: session 0: ")
+
+
 def _overflow():
     with np.errstate(over="ignore"):
         T.mul(np.array([1e308]), np.array([1e308]))
@@ -437,13 +449,19 @@ def test_negative_epochs_exits_2(synth_dir, tmp_path, capsys):
                  "--out", str(out), "--epochs", "-3"]) == 2
     assert "epochs must be non-negative, got -3" in capsys.readouterr().err
     assert not out.exists()
+    assert main(["train", "--stage", "gru", "--data", str(synth_dir["data"] / "train.json"),
+                 "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err, "configuration error: ") and "seed must be non-negative, got -1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, name", [("--sessions", "n_sessions"), ("--items", "n_items"),
-                                        ("--fields", "n_fields")])
+                                        ("--fields", "n_fields"), ("--seed", "seed")])
 def test_synth_sizes_below_one_exit_2(tmp_path, capsys, flag, name):
     out = tmp_path / "out"
-    assert main(["synth", "--out", str(out), flag, "0"]) == 2
+    low = 0 if name == "seed" else 1
+    assert main(["synth", "--out", str(out), flag, str(low - 1)]) == 2
     err = capsys.readouterr().err
-    assert _one_line(err, "configuration error: ") and f"{name} must be at least 1" in err
+    assert _one_line(err, "configuration error: ") and f"{name} must be at least {low}" in err
     assert not out.exists()

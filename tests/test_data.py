@@ -371,17 +371,38 @@ _NOT_DATASETS = {
     "bad schema": b'{"schema": 1, "sessions": []}',
 }
 
+# a saved dataset's second session, malformed; only `load` reads sessions
+_BAD_SESSIONS = {
+    "session without steps": {"start": 0},
+    "session not an object": [[[0], 1], [[1], 2]],
+    "float start": {"start": 0.5, "steps": [[[0], 1], [[1], 2]]},
+    "step not a pair": {"start": 0, "steps": [[[0], 1, 2], [[1], 2]]},
+    "string item": {"start": 0, "steps": [[[0], "i1"], [[1], 2]]},
+    "float item": {"start": 0, "steps": [[[0], 1.5], [[1], 2]]},
+    "bool item": {"start": 0, "steps": [[[0], True], [[1], 2]]},
+    "string position": {"start": 0, "steps": [[["a"], 1], [[1], 2]]},
+}
 
-@pytest.mark.parametrize("reader", [D.SessionDataset.load, D.read_schema])
-@pytest.mark.parametrize("how", sorted(_NOT_DATASETS))
+
+@pytest.mark.parametrize("how, reader", [
+    *[(how, reader) for how in sorted(_NOT_DATASETS)
+      for reader in (D.SessionDataset.load, D.read_schema)],
+    *[(how, D.SessionDataset.load) for how in sorted(_BAD_SESSIONS)],
+])
 def test_dataset_readers_raise_data_error(tmp_path, reader, how):
     path = tmp_path / "ds.json"
-    content = _NOT_DATASETS[how]
+    if how in _BAD_SESSIONS:
+        good = {"start": 0, "steps": [[[0], 1], [[1], 2]]}
+        content = json.dumps({"schema": _schema(5).to_dict(),
+                              "sessions": [good, _BAD_SESSIONS[how]]}).encode()
+    else:
+        content = _NOT_DATASETS[how]
     if content == "dir":
         path.mkdir()
     elif content is not None:
         path.write_bytes(content)
-    with pytest.raises(DataError, match=f"^{path}: "):
+    session = "session 1: " if how in _BAD_SESSIONS else ""
+    with pytest.raises(DataError, match=f"^{path}: {session}"):
         reader(path)
 
 

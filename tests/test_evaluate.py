@@ -6,7 +6,6 @@ from arnn.batching import SessionParallelIterator
 from arnn.data import FieldSchema, Session, SessionDataset
 from arnn.errors import EvaluationError
 from arnn.evaluate import (
-    KNN_BLOCK_ROWS,
     EvalReport,
     ItemKnnIndex,
     SystemReport,
@@ -146,15 +145,29 @@ def test_itemknn_top_m_cap():
     assert np.count_nonzero(index.sim[0]) == 1
 
 
-def test_itemknn_row_blocks_match_the_whole_table_build():
-    # 600 items span three row blocks, the last one partial; the reference
-    # builds the whole [V, V] table at once and cuts each row on its own
-    n_items, top_m, lam = 600, 25, 2.0
+def _random_item_lists():
     rng = np.random.default_rng(12)
-    item_lists = [rng.integers(0, n_items, size=rng.integers(2, 9)).tolist()
-                  for _ in range(400)]
+    return [rng.integers(0, 600, size=rng.integers(2, 9)).tolist() for _ in range(400)]
+
+
+# the random sessions leave some of the 600 items out, and at lam = 0 the
+# reference below divides 0 by 0 for those: the lam = 0 cases add sessions
+# that hold every item
+_EVERY_ITEM = [[k, k + 1] for k in range(0, 600, 2)]
+
+
+@pytest.mark.parametrize("item_lists, n_items, lam, top_m", [
+    (_random_item_lists(), 600, 2.0, 25),
+    (_random_item_lists(), 600, 20.0, 100),  # the values the CLI and the benchmark use
+    (_random_item_lists() + _EVERY_ITEM, 600, 0.0, 1),
+    (_random_item_lists() + _EVERY_ITEM, 600, 0.0, 0),
+    # a session of one repeated item, and item 600 in no session
+    (_random_item_lists() + [[7, 7, 7]], 601, 2.0, 25),
+], ids=["lam2-top25", "lam20-top100", "lam0-top1", "lam0-top0", "repeat-and-unheld"])
+def test_itemknn_matches_the_whole_table_build(item_lists, n_items, lam, top_m):
+    # the reference builds the whole [V, V] table from the dense incidence
+    # product and cuts each row on its own
     ds = make_dataset(item_lists, n_items=n_items)
-    assert n_items > 2 * KNN_BLOCK_ROWS
     incidence = np.zeros((len(item_lists), n_items))
     for row, items in enumerate(item_lists):
         incidence[row, items] = 1.0

@@ -106,8 +106,11 @@ def test_bad_specs_rejected():
         GeneratorSpec(categories_per_field=3)
 
 
-@pytest.mark.parametrize("field", ["n_sessions", "n_items", "n_fields"])
-@pytest.mark.parametrize("value", [0, -6])
+@pytest.mark.parametrize("value, field", [
+    *[(value, field) for value in (0, -6) for field in ("n_sessions", "n_items", "n_fields")],
+    (-1, "seed"),
+])
 def test_sizes_below_one_rejected(field, value):
-    with pytest.raises(ConfigError, match=f"{field} must be at least 1, got {value}"):
+    low = 0 if field == "seed" else 1
+    with pytest.raises(ConfigError, match=f"{field} must be at least {low}, got {value}"):
         GeneratorSpec(**{field: value})

@@ -427,4 +427,6 @@ def test_history_tsv_format():
 def test_negative_epochs_rejected(epochs):
     with pytest.raises(ConfigError, match="epochs must be non-negative"):
         make_plan("gru", "synth", 0, epochs=epochs)
+    with pytest.raises(ConfigError, match=f"seed must be non-negative, got {epochs}"):
+        make_plan("gru", "synth", seed=epochs)
     assert make_plan("merge", "synth", 0, epochs=0).epochs == 0
