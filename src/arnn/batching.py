@@ -1,11 +1,13 @@
 """Session-parallel mini-batches with in-batch negative items.
 
 Each of B lanes walks one session a step at a time; a batch pairs every
-active lane's previous item with its next item.  When a lane's session runs
-out it loads the next unstarted session (flagging a boundary so the
-recurrent state gets reset) and goes inactive once none remain.  The other
-active lanes' target items double as the negative samples, minus any that
-collide with a lane's own target.
+active lane's previous item with its next item, one row per active lane in
+ascending lane order, and ``lanes`` names each row's lane (the recurrent
+model's per-lane state).  When a lane's session runs out it loads the next
+unstarted session, whose first row sets the boundary flag so the recurrent
+state gets reset, and the lane drops out of the batches once none remain.
+The other rows' target items double as the negative samples, minus any that
+collide with a row's own target.
 """
 
 from __future__ import annotations
@@ -15,30 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SessionDataset
-from .errors import ConfigError, LaneError
+from .errors import ConfigError
 
 
 @dataclass
 class MiniBatch:
-    prev_items: np.ndarray        # int [B]
-    target_items: np.ndarray      # int [B]
-    contexts: list                # sparse position tuple per lane
-    session_boundary: np.ndarray  # bool [B]; True = lane starts a new session
-    active: np.ndarray            # bool [B]
-
-    @property
-    def n_lanes(self) -> int:
-        return len(self.prev_items)
+    prev_items: np.ndarray        # int [n]
+    target_items: np.ndarray      # int [n]
+    contexts: list                # sparse position tuple per row
+    session_boundary: np.ndarray  # bool [n]; True = the row starts a session
+    lanes: np.ndarray             # int [n]; each row's lane, ascending
 
 
-def negatives_for(batch: MiniBatch, lane: int) -> np.ndarray:
-    """Other active lanes' targets, minus collisions with this lane's target."""
-    if not batch.active[lane]:
-        raise LaneError(f"lane {lane} is inactive")
-    own = batch.target_items[lane]
-    keep = batch.active.copy()
-    keep[lane] = False
-    keep &= batch.target_items != own
+def negatives_for(batch: MiniBatch, row: int) -> np.ndarray:
+    """Other rows' targets, minus collisions with this row's target."""
+    keep = batch.target_items != batch.target_items[row]
+    keep[row] = False
     return np.unique(batch.target_items[keep])
 
 
@@ -54,13 +48,11 @@ class SessionParallelIterator:
         if batch_lanes < 2:
             raise ConfigError(f"batch_lanes must be at least 2, got {batch_lanes}")
         self.dataset = dataset
-        self.lanes = batch_lanes
         n = len(dataset.sessions)
         self.order = np.arange(n) if order is None else np.asarray(order)
         self._next = 0
         self._lane_session = [-1] * batch_lanes  # index into order
         self._lane_pos = [0] * batch_lanes
-        self._lane_fresh = [False] * batch_lanes
         for lane in range(batch_lanes):
             self._load_next(lane)
 
@@ -68,7 +60,6 @@ class SessionParallelIterator:
         if self._next < len(self.order):
             self._lane_session[lane] = int(self.order[self._next])
             self._lane_pos[lane] = 0
-            self._lane_fresh[lane] = True
             self._next += 1
         else:
             self._lane_session[lane] = -1
@@ -77,30 +68,21 @@ class SessionParallelIterator:
         return self
 
     def __next__(self) -> MiniBatch:
-        b = self.lanes
-        if all(s < 0 for s in self._lane_session):
+        lanes = [lane for lane, si in enumerate(self._lane_session) if si >= 0]
+        if not lanes:
             raise StopIteration
-        prev = np.zeros(b, dtype=np.int64)
-        target = np.zeros(b, dtype=np.int64)
-        contexts: list = [()] * b
-        boundary = np.zeros(b, dtype=bool)
-        active = np.zeros(b, dtype=bool)
-        for lane in range(b):
-            si = self._lane_session[lane]
-            if si < 0:
-                continue
-            steps = self.dataset.sessions[si].steps
+        prev, target, contexts, boundary = [], [], [], []
+        for lane in lanes:
+            steps = self.dataset.sessions[self._lane_session[lane]].steps
             pos = self._lane_pos[lane]
             ctx, prev_item = steps[pos]
-            _, target_item = steps[pos + 1]
-            prev[lane] = prev_item
-            target[lane] = target_item
-            contexts[lane] = ctx
-            boundary[lane] = self._lane_fresh[lane]
-            active[lane] = True
-            self._lane_fresh[lane] = False
+            prev.append(prev_item)
+            target.append(steps[pos + 1][1])
+            contexts.append(ctx)
+            boundary.append(pos == 0)
             if pos + 2 >= len(steps):
                 self._load_next(lane)
             else:
                 self._lane_pos[lane] = pos + 1
-        return MiniBatch(prev, target, contexts, boundary, active)
+        return MiniBatch(np.array(prev, dtype=np.int64), np.array(target, dtype=np.int64),
+                         contexts, np.array(boundary), np.array(lanes, dtype=np.int64))

@@ -73,6 +73,9 @@ PREPROCESS = {
 
 
 def cmd_preprocess(cfg) -> int:
+    for key in ("gap_threshold_seconds", "test_window_days"):
+        if not cfg[key] >= 0:  # NaN fails every comparison
+            raise ConfigError(f"{key} must be non-negative, got {cfg[key]}")
     events = read_events(cfg["input"])
     train, test, summary = preprocess(
         events,
@@ -244,12 +247,11 @@ def cmd_recommend(cfg) -> int:
     indices = [schema.item_index(i) for i in item_ids]
     context = schema.encode(attrs)
     # the prefix as a one-lane session, a step at a time
-    lane = np.arange(1)
     model.reset(1)
     for step, item in enumerate(indices):
         batch = MiniBatch(np.array([item]), np.zeros(1, dtype=np.int64), [context],
-                          np.array([step == 0]), np.ones(1, dtype=bool))
-        logits = model.logits(batch, lane)
+                          np.array([step == 0]), np.zeros(1, dtype=np.int64))
+        logits = model.logits(batch)
     probs = softmax(logits.data)[0]
     k = min(cfg["k"], len(schema.item_vocabulary))
     for rank, idx in enumerate(top_k_items(probs, k), start=1):

@@ -261,6 +261,9 @@ def _parse_events(fh, path) -> list[RawEvent]:
         raise ParseError(
             f"{path}:1: header must start with user_id, item_id, timestamp; got {cols[:3]}"
         )
+    repeated = sorted({c for c in cols if cols.count(c) > 1})
+    if repeated:
+        raise ParseError(f"{path}:1: header names a column more than once: {repeated}")
     field_names = cols[3:]
     for lineno, line in enumerate(fh, start=2):
         line = line.rstrip("\n")

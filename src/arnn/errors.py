@@ -49,10 +49,6 @@ class EvaluationError(DataError):
     """Evaluation invoked on empty or inconsistent inputs."""
 
 
-class LaneError(DataError):
-    """Mini-batch lane query on an inactive lane."""
-
-
 class NumericError(ArnnError):
     """Non-finite values where finite ones are required (divergence)."""
 

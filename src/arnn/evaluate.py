@@ -2,11 +2,12 @@
 
 Evaluation walks every test session left to right; from the second step on
 the system scores all items conditioned on the observed prefix only,
-through the model protocol of ``models`` (``reset``, then ``logits``; the
-merge model's equal its reference ``step_scores``).  The recurrent systems
-carry hidden state within a session, the item-KNN and context-encoder
-baselines condition on the previous step alone.  Ties in the ranking break
-deterministically by ascending item index.
+through the model protocol of ``models`` (``reset``, then ``logits(batch)``
+with one row of scores per batch row; the merge model's equal its reference
+``step_scores``).  The recurrent systems carry hidden state within a
+session, the item-KNN and context-encoder baselines condition on the
+previous step alone.  Ties in the ranking break deterministically by
+ascending item index.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class ItemKnnIndex:
     def reset(self, n_lanes: int) -> None:
         """Stateless: a step depends on its previous item only."""
 
-    def logits(self, batch, active, cols=None, training=False, rng=None) -> T.Tensor:
-        rows = self.sim[batch.prev_items[active]]
+    def logits(self, batch, cols=None, training=False, rng=None) -> T.Tensor:
+        rows = self.sim[batch.prev_items]
         return T.constant(rows if cols is None else rows[:, cols])
 
 
@@ -188,10 +189,9 @@ def evaluate_system(system, test: SessionDataset, k: int = 20,
     n_recs = n_hits = 0
     rr_sum = 0.0
     for batch in SessionParallelIterator(test, lanes):
-        active = np.flatnonzero(batch.active)
-        scores = system.logits(batch, active).data
-        for row, lane in enumerate(active):
-            rank = rank_of(scores[row], int(batch.target_items[lane]))
+        scores = system.logits(batch).data
+        for row, target in enumerate(batch.target_items):
+            rank = rank_of(scores[row], int(target))
             n_recs += 1
             if rank <= k:
                 n_hits += 1

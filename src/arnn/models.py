@@ -18,10 +18,12 @@ keep updating as well.
 
 Training, evaluation and ``recommend`` drive every model, and the item-KNN
 baseline, through one protocol: a ``kind`` name, ``reset(n_lanes)`` before
-a pass over session-parallel batches, and ``logits(batch, active, cols,
-training, rng)``, the active lanes' scores for every item or for the item
-columns ``cols``.  ``ArnnModel.logits`` feeds the frozen blocks' outputs to
-the head as constants; ``step_scores`` is its differentiable reference.
+a pass over session-parallel batches, and ``logits(batch, cols, training,
+rng)``, the batch rows' scores for every item or for the item columns
+``cols``.  A batch holds one row per active lane, and ``batch.lanes`` picks
+each row's recurrent state.  ``ArnnModel.logits`` feeds the frozen blocks'
+outputs to the head as constants; ``step_scores`` is its differentiable
+reference.
 """
 
 from __future__ import annotations
@@ -162,9 +164,8 @@ class GruSessionModel:
             h = T.dropout(h, self.dropout, rng)
         return _item_scores(h, self.out_weight, self.out_bias, cols)
 
-    def logits(self, batch, active, cols=None, training=False, rng=None) -> T.Tensor:
-        h = self.step(batch.prev_items[active], batch.session_boundary[active],
-                      lane_ids=active)
+    def logits(self, batch, cols=None, training=False, rng=None) -> T.Tensor:
+        h = self.step(batch.prev_items, batch.session_boundary, lane_ids=batch.lanes)
         return self.scores(h, training=training, rng=rng, cols=cols)
 
 
@@ -292,9 +293,8 @@ class PnnEncoder:
     def reset(self, n_lanes: int) -> None:
         """Stateless: a step depends on its own context and previous item only."""
 
-    def logits(self, batch, active, cols=None, training=False, rng=None) -> T.Tensor:
-        contexts = [batch.contexts[lane] for lane in active]
-        c = self.encode(contexts, batch.prev_items[active], training)
+    def logits(self, batch, cols=None, training=False, rng=None) -> T.Tensor:
+        c = self.encode(batch.contexts, batch.prev_items, training)
         return self.scores(c, cols=cols)
 
 
@@ -366,12 +366,11 @@ class ArnnModel:
         h = self.gru.step(prev_items, boundaries, lane_ids)
         return self.head(c, h, training)
 
-    def logits(self, batch, active, cols=None, training=False, rng=None) -> T.Tensor:
+    def logits(self, batch, cols=None, training=False, rng=None) -> T.Tensor:
         """``step_scores`` values; backward reaches only the trainable layers."""
-        prev = batch.prev_items[active]
-        contexts = [batch.contexts[lane] for lane in active]
-        c = self.pnn.bn(T.constant(self.pnn.features(contexts, prev).data), training)
-        h = self.gru.step(prev, batch.session_boundary[active], lane_ids=active)
+        features = self.pnn.features(batch.contexts, batch.prev_items)
+        c = self.pnn.bn(T.constant(features.data), training)
+        h = self.gru.step(batch.prev_items, batch.session_boundary, lane_ids=batch.lanes)
         return self.head(c, T.constant(h.data), training, cols=cols)
 
 

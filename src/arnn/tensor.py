@@ -545,22 +545,6 @@ def pairwise_inner(fields) -> Tensor:
     return _node(out, tuple(ts), bwd, "pairwise_inner")
 
 
-def gather_columns(x, cols) -> Tensor:
-    """out[:, k] = x[:, cols[k]] (duplicate columns allowed)."""
-    x = as_tensor(x)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = x.data[:, cols]
-    n_rows = x.data.shape[0]
-
-    def bwd(g):
-        if x._needs_grad:
-            rows = np.broadcast_to(np.arange(n_rows)[:, None], g.shape)
-            cgrid = np.broadcast_to(cols[None, :], g.shape)
-            np.add.at(_grad_buffer(x), (rows, cgrid), g)
-
-    return _node(out, (x,), bwd, "gather_columns")
-
-
 def take_rc(x, rows, cols) -> Tensor:
     """1-D gather of x[rows[k], cols[k]]."""
     x = as_tensor(x)

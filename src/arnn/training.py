@@ -8,17 +8,21 @@ Hidden state carries across batch steps but is detached, so
 backpropagation is truncated to a single step.
 
 Every stage scores only the batch's distinct target items: TOP1 reads
-nothing else, so the logits are [lanes, distinct targets] instead of
-[lanes, items].  Backward then writes only those columns of the output
+nothing else, so the logits are [rows, distinct targets] instead of
+[rows, items], and ``top1_batch_loss`` takes them with each row's position
+among those columns.  Backward then writes only those columns of the output
 table and bias (and the gathered rows of the item embeddings), and Adagrad
 updates only what backward wrote, plus one dense weight-decay pass when the
 decay is nonzero.  Validation and evaluation still score every item.
 
 A stage drives its model through the protocol of ``models``: ``reset``
-per epoch, ``logits`` per batch.  Merge training's ``logits`` treats the
-frozen blocks as constants: the GRU hidden states and the encoder's
-pre-norm features enter the graph as values, so backward and the optimizer
-touch only the encoder's batch norm and the merge head.
+per epoch, ``logits(batch, cols)`` per batch.  A one-row batch is skipped
+unscored.  A batch whose rows share one target is scored, so the hidden
+state and the dropout draws advance, but it has no loss and no update.
+Merge training's ``logits`` treats the frozen blocks as constants: the GRU
+hidden states and the encoder's pre-norm features enter the graph as
+values, so backward and the optimizer touch only the encoder's batch norm
+and the merge head.
 ``ArnnModel.step_scores`` remains the differentiable reference through
 every block; both give the same losses and checkpoints.
 """
@@ -54,32 +58,24 @@ def top1_loss(target_logit, negative_logits) -> T.Tensor:
     return T.mean_all(terms)
 
 
-def top1_batch_loss(logits: T.Tensor, targets) -> tuple[T.Tensor | None, int]:
-    """TOP1 over in-batch negatives, averaged across contributing lanes.
+def top1_batch_loss(logits: T.Tensor, own) -> T.Tensor | None:
+    """TOP1 over in-batch negatives, averaged across the batch's rows.
 
-    logits[i, c] scores column c for lane i and targets[i] is lane i's
-    column.  Lane i's negatives are the other lanes' distinct targets minus
-    any equal to its own target, so with m distinct targets every lane has
-    m - 1 negatives; with one distinct target no lane contributes and the
-    loss is None.  Training passes logits over the batch's distinct targets
-    only, with each lane's position among them as its target.
+    The m columns of logits are the batch's distinct targets, and own[i] is
+    row i's target among them.  Row i's negatives are the other rows'
+    distinct targets minus any equal to its own, which are the other m - 1
+    columns; with one distinct target there are none and the loss is None.
     """
-    t = np.asarray(targets, dtype=np.int64)
-    n = len(t)
-    cols, own = np.unique(t, return_inverse=True)
-    m = len(cols)
+    scores = T.as_tensor(logits)                               # [n,m]
+    n, m = scores.shape
     if m < 2:
-        return None, 0
-    if m == logits.shape[1] and cols[0] == 0 and cols[-1] == m - 1:
-        scores = T.as_tensor(logits)  # every column is a target: no gather
-    else:
-        scores = T.gather_columns(logits, cols)                # [n,m]
+        return None
     pos = T.take_rc(scores, np.arange(n), own)                 # [n]
     diff = T.sub(scores, T.reshape(pos, (n, 1)))
     terms = T.add(T.sigmoid(diff), T.sigmoid(T.mul(scores, scores)))
     weights = np.full((n, m), 1.0 / (m - 1) / n)
     weights[np.arange(n), own] = 0.0
-    return T.sum_all(T.mul(terms, T.constant(weights))), n
+    return T.sum_all(T.mul(terms, T.constant(weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +269,13 @@ def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
         model.reset(plan.batch_lanes)
         losses = []
         for batch in SessionParallelIterator(train, plan.batch_lanes, order):
-            active = np.flatnonzero(batch.active)
-            if len(active) < 2:
+            if len(batch.lanes) < 2:
                 continue
-            # score only the batch's distinct targets: they are every lane's
+            # score only the batch's distinct targets: they are every row's
             # positive and negatives
-            cols, own = np.unique(batch.target_items[active], return_inverse=True)
-            logits = model.logits(batch, active, cols, training=True, rng=rng)
-            loss, _ = top1_batch_loss(logits, own)
+            cols, own = np.unique(batch.target_items, return_inverse=True)
+            logits = model.logits(batch, cols, training=True, rng=rng)
+            loss = top1_batch_loss(logits, own)
             if loss is None:
                 continue
             if not np.isfinite(loss.data):

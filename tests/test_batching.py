@@ -3,7 +3,7 @@ import pytest
 
 from arnn.batching import MiniBatch, SessionParallelIterator, negatives_for
 from arnn.data import FieldSchema, Session, SessionDataset
-from arnn.errors import ConfigError, LaneError
+from arnn.errors import ConfigError
 
 
 def make_dataset(item_lists, n_items=10):
@@ -24,18 +24,30 @@ def test_lane_walk_matches_protocol():
     assert b1.prev_items.tolist() == [a, d]
     assert b1.target_items.tolist() == [b, e]
     assert b1.session_boundary.tolist() == [True, True]
-    assert b1.active.tolist() == [True, True]
-    # lane 1's session ended; nothing left to load
-    assert b2.prev_items[0] == b and b2.target_items[0] == c
-    assert b2.active.tolist() == [True, False]
+    assert b1.lanes.tolist() == [0, 1]
+    # lane 1's session ended; nothing left to load, so only lane 0 has a row
+    assert b2.prev_items.tolist() == [b] and b2.target_items.tolist() == [c]
+    assert b2.session_boundary.tolist() == [False]
+    assert b2.lanes.tolist() == [0]
 
 
 def test_lane_refill_sets_boundary():
-    ds = make_dataset([[0, 1], [2, 3], [4, 5, 6]])
+    ds = make_dataset([[0, 1], [2, 3, 4], [5, 6, 7]])
     batches = list(SessionParallelIterator(ds, 2))
-    # lane 0 finishes [0,1] after batch 1 and reloads [4,5,6]
+    # lane 0 finishes [0,1] after batch 1 and reloads [5,6,7]
     assert batches[1].session_boundary.tolist() == [True, False]
-    assert batches[1].prev_items[0] == 4
+    assert batches[1].prev_items.tolist() == [5, 3]
+    assert batches[1].lanes.tolist() == [0, 1]
+
+
+def test_finished_lane_leaves_no_row():
+    ds = make_dataset([[0, 1, 2], [3, 4], [5, 6, 7]])
+    batches = list(SessionParallelIterator(ds, 3))
+    # lane 1's session ends after the first batch; lanes 0 and 2 keep their ids
+    assert [b.lanes.tolist() for b in batches] == [[0, 1, 2], [0, 2]]
+    assert batches[1].prev_items.tolist() == [1, 6]
+    assert batches[1].target_items.tolist() == [2, 7]
+    assert batches[1].contexts == [(0,), (0,)]
 
 
 def test_negatives_are_other_lane_targets():
@@ -44,7 +56,7 @@ def test_negatives_are_other_lane_targets():
         target_items=np.array([1, 4]),
         contexts=[(), ()],
         session_boundary=np.array([True, True]),
-        active=np.array([True, True]),
+        lanes=np.arange(2),
     )
     assert negatives_for(batch, 0).tolist() == [4]
 
@@ -55,7 +67,7 @@ def test_negatives_remove_self_collisions():
         target_items=np.array([1, 4, 1]),  # lane 2 collides with lane 0
         contexts=[(), (), ()],
         session_boundary=np.ones(3, dtype=bool),
-        active=np.ones(3, dtype=bool),
+        lanes=np.arange(3),
     )
     assert negatives_for(batch, 0).tolist() == [4]
     assert sorted(negatives_for(batch, 1).tolist()) == [1]
@@ -68,22 +80,10 @@ def test_negatives_empty_on_full_collision():
         target_items=np.array([3, 3]),
         contexts=[(), ()],
         session_boundary=np.ones(2, dtype=bool),
-        active=np.ones(2, dtype=bool),
+        lanes=np.arange(2),
     )
     assert negatives_for(batch, 0).size == 0
     assert negatives_for(batch, 1).size == 0
-
-
-def test_negatives_inactive_lane_errors():
-    batch = MiniBatch(
-        prev_items=np.zeros(2, dtype=int),
-        target_items=np.array([1, 2]),
-        contexts=[(), ()],
-        session_boundary=np.ones(2, dtype=bool),
-        active=np.array([True, False]),
-    )
-    with pytest.raises(LaneError):
-        negatives_for(batch, 1)
 
 
 def test_batch_lanes_minimum():
@@ -103,18 +103,15 @@ def test_every_pair_emitted_exactly_once_per_epoch():
         expected.extend(zip(items[:-1], items[1:]))
     seen = []
     for batch in SessionParallelIterator(ds, 4, order=rng.permutation(17)):
-        for lane in range(batch.n_lanes):
-            if batch.active[lane]:
-                seen.append((batch.prev_items[lane], batch.target_items[lane]))
+        seen.extend(zip(batch.prev_items, batch.target_items))
     assert sorted(seen) == sorted(expected)
 
 
 def test_negative_count_bounded_by_lanes():
     ds = make_dataset([[0, 1, 2], [3, 4], [5, 6, 7], [8, 9]])
     for batch in SessionParallelIterator(ds, 3):
-        for lane in range(batch.n_lanes):
-            if batch.active[lane]:
-                assert len(negatives_for(batch, lane)) <= batch.n_lanes - 1
+        for row in range(len(batch.lanes)):
+            assert len(negatives_for(batch, row)) <= len(batch.lanes) - 1
 
 
 def test_fixed_order_gives_identical_streams():
@@ -124,7 +121,7 @@ def test_fixed_order_gives_identical_streams():
     def stream():
         return [
             (b.prev_items.tolist(), b.target_items.tolist(),
-             b.session_boundary.tolist(), b.active.tolist())
+             b.session_boundary.tolist(), b.lanes.tolist())
             for b in SessionParallelIterator(ds, 3, order=order)
         ]
 

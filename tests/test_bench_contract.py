@@ -1,9 +1,11 @@
 """The benchmark's contract with the program, read from `perfbench/`.
 
 The traced run swaps each `(owner, attribute)` of `spans.TARGETS` by looking
-it up in `owner.__dict__`, the recommend calls go through `cli.main`, and
-every run checks the item-KNN table against `checks.itemknn_rows`.  A
-refactor that breaks any of these would only show when the benchmark runs.
+it up in `owner.__dict__` and divides the ranking time by the count of
+`evaluate.rank_of` spans, the recommend calls go through `cli.main`, and
+every run checks the item-KNN table against `checks.itemknn_rows` and each
+system's evaluation report against `checks.replay_ranks`.  A refactor that
+breaks any of these would only show when the benchmark runs.
 """
 
 import importlib.util
@@ -13,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arnn import cli
+from arnn import cli, evaluate
 from arnn.data import FieldSchema, Session, SessionDataset
-from arnn.evaluate import build_itemknn
+from arnn.evaluate import build_itemknn, evaluate_system
+from arnn.models import ArnnModel, GruSessionModel, PnnEncoder
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,3 +78,52 @@ def test_itemknn_table_passes_the_bench_check(perfbench, monkeypatch, tmp_path, 
     whole = build_itemknn(r.train, top_m=len(r.train.schema.item_vocabulary))
     assert np.count_nonzero(whole.sim, axis=1).max() > 5
     assert checks.itemknn_rows(build_itemknn(r.train, top_m=5), r.train, 1) == []
+
+
+def _toy_systems():
+    """Seven sessions of unequal length over 10 items, and all four systems."""
+    schema = FieldSchema([("f", ["c0", "c1", "unknown"])], [f"i{k}" for k in range(10)])
+    item_lists = [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 0, 1], [2, 3], [5, 9, 1],
+                  [6, 6, 2, 8], [3, 0]]
+    ds = SessionDataset([Session([((k % 2,), i) for i in items], start_time=k)
+                         for k, items in enumerate(item_lists)], schema)
+
+    def gru():
+        return GruSessionModel(10, 6, rng=np.random.default_rng(1))
+
+    def pnn():
+        return PnnEncoder.from_schema(schema, 4, 8, rng=np.random.default_rng(2))
+
+    return ds, {"itemknn": build_itemknn(ds, lam=1.0, top_m=4), "gru": gru(), "pnn": pnn(),
+                "arnn": ArnnModel(pnn(), gru(), 8, rng=np.random.default_rng(3))}
+
+
+@pytest.mark.parametrize("kind", ["itemknn", "gru", "pnn", "arnn"])
+def test_replay_ranks_are_the_ranks_evaluation_counts(perfbench, monkeypatch, kind):
+    workloads = perfbench("workloads")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # checks imports it by name
+    checks = perfbench("checks")
+    ds, systems = _toy_systems()
+    counted = []
+    rank_of = evaluate.rank_of
+
+    def counting(scores, target):
+        counted.append(rank_of(scores, target))
+        return counted[-1]
+
+    monkeypatch.setattr(evaluate, "rank_of", counting)
+    # three lanes over seven sessions: lanes refill and drop out mid-stream
+    report = evaluate_system(systems[kind], ds, k=3, lanes=3)
+    ranks = checks.replay_ranks(systems[kind], ds)
+    assert sorted(ranks.tolist()) == sorted(counted)
+    assert len(counted) == report.n_recs == sum(len(s.steps) - 1 for s in ds.sessions)
+    assert checks.report_matches(kind, report, ranks, ds) == []
+
+
+def test_traced_evaluation_has_one_rank_span_per_recommendation(perfbench):
+    spans = perfbench("spans")
+    ds, systems = _toy_systems()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        report = evaluate_system(systems["arnn"], ds, k=3, lanes=3)
+    assert tracer.since(0).count("evaluate.rank_of") == report.n_recs > 0

@@ -334,6 +334,30 @@ def test_missing_input_exits_3(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+def test_preprocess_repeated_header_column_exits_3(tmp_path, capsys):
+    events = tmp_path / "events.tsv"
+    events.write_text("user_id\titem_id\ttimestamp\tf0\tf0\n" + "".join(
+        f"u{k % 2}\ti{k % 3}\t{100 * k}\ta\tb\n" for k in range(6)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["preprocess", "--input", str(events), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert _one_line(err, "data error: ") and "events.tsv:1: header names a column" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["gap_threshold_seconds", "test_window_days"])
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_preprocess_nan_or_negative_setting_exits_2(tmp_path, capsys, key, value):
+    # the input does not exist: the setting is rejected before it is read
+    out = tmp_path / "out"
+    assert main(["preprocess", "--input", str(tmp_path / "nope.tsv"), "--out", str(out),
+                 f"--{key.replace('_', '-')}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err, "configuration error: ")
+    assert f"{key} must be non-negative, got {float(value)}" in err
+    assert not out.exists()
+
+
 def test_missing_required_key_exits_2():
     assert main(["synth"]) == 2
 

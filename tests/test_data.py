@@ -318,6 +318,19 @@ def test_read_events_reports_line_numbers(tmp_path):
         D.read_events(p)
 
 
+@pytest.mark.parametrize("repeated", ["f0", "user_id"])
+def test_read_events_rejects_a_repeated_header_column(tmp_path, repeated):
+    p = tmp_path / "dup.tsv"
+    p.write_text(
+        f"user_id\titem_id\ttimestamp\tf0\t{repeated}\n"
+        "u1\ti1\t100\ta\tb\n"
+        "u1\ti2\t200\ta\tb\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match=f"dup.tsv:1: .*more than once: \\['{repeated}'\\]"):
+        D.read_events(p)
+
+
 def test_dataset_file_round_trip(tmp_path):
     schema = _schema(5)
     ds = D.SessionDataset(

@@ -235,8 +235,7 @@ def _collect_scores(system, ds, n_batches):
     for i, batch in enumerate(SessionParallelIterator(ds, lanes)):
         if i == n_batches:
             break
-        active = np.flatnonzero(batch.active)
-        out.append(system.logits(batch, active).data.copy())
+        out.append(system.logits(batch).data.copy())
     return out
 
 
@@ -276,19 +275,17 @@ def _build_system(kind, ds):
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_PATHS))
 def test_logits_equal_reference_path(kind):
-    # three lanes over sessions of unequal length: lanes start, end and go
-    # inactive mid-stream
+    # three lanes over sessions of unequal length: lanes start, end and drop
+    # out of the batches mid-stream
     ds = make_dataset([[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 0, 1], [2, 3], [5, 9, 1]])
     system, reference = _build_system(kind, ds), _build_system(kind, ds)
     assert system.kind == kind
     system.reset(3)
     reference.reset(3)
     for batch in SessionParallelIterator(ds, 3):
-        active = np.flatnonzero(batch.active)
-        want = REFERENCE_PATHS[kind](
-            reference, batch.prev_items[active], [batch.contexts[lane] for lane in active],
-            batch.session_boundary[active], active)
-        assert system.logits(batch, active).data.tobytes() == want.tobytes()
+        want = REFERENCE_PATHS[kind](reference, batch.prev_items, batch.contexts,
+                                     batch.session_boundary, batch.lanes)
+        assert system.logits(batch).data.tobytes() == want.tobytes()
 
 
 def test_report_formats():

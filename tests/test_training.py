@@ -78,19 +78,21 @@ def test_top1_batch_matches_per_lane_composition():
             target_items=targets,
             contexts=[()] * n,
             session_boundary=np.ones(n, dtype=bool),
-            active=np.ones(n, dtype=bool),
+            lanes=np.arange(n),
         )
-        loss, n_rows = top1_batch_loss(T.constant(logits_np), targets)
+        cols, own = np.unique(targets, return_inverse=True)
+        loss = top1_batch_loss(T.constant(logits_np[:, cols]), own)
         per_lane = []
-        for lane in range(n):
-            negs = negatives_for(batch, lane)
+        for row in range(n):
+            negs = negatives_for(batch, row)
             if negs.size == 0:
                 continue
             per_lane.append(float(top1_loss(
-                T.constant(logits_np[lane, targets[lane]]),
-                T.constant(logits_np[lane, negs]),
+                T.constant(logits_np[row, targets[row]]),
+                T.constant(logits_np[row, negs]),
             ).data))
-        assert n_rows == len(per_lane)
+        # every row has the other distinct targets as negatives, or none does
+        assert len(per_lane) in (0, n)
         if per_lane:
             assert_allclose(float(loss.data), np.mean(per_lane), atol=1e-12)
         else:
@@ -98,17 +100,17 @@ def test_top1_batch_matches_per_lane_composition():
 
 
 def test_top1_batch_all_collisions_returns_none():
-    logits = T.constant(np.zeros((2, 4)))
-    loss, n = top1_batch_loss(logits, [3, 3])
-    assert loss is None and n == 0
+    # both rows target the batch's single distinct item
+    logits = T.constant(np.zeros((2, 1)))
+    assert top1_batch_loss(logits, [0, 0]) is None
 
 
 def test_top1_batch_gradient():
     rng = np.random.default_rng(5)
-    logits = T.Parameter(rng.normal(size=(4, 6)), "logits")
-    targets = np.array([0, 2, 2, 5])
+    logits = T.Parameter(rng.normal(size=(4, 3)), "logits")
+    own = np.array([0, 1, 1, 2])
     assert_param_grads_match(
-        lambda: top1_batch_loss(logits, targets)[0], [logits], rel=1e-6,
+        lambda: top1_batch_loss(logits, own), [logits], rel=1e-6,
         abs_floor=1e-10,
     )
 
@@ -339,11 +341,9 @@ def test_merge_on_constant_features_matches_step_scores(tmp_path, monkeypatch):
                       pnn_checkpoint=tmp_path / "pnn.npz")
     fast = run_stage(small_plan("merge", epochs=3), ds, tmp_path / "fast", **pretrained)
 
-    def through_differentiable_blocks(model, batch, active, cols=None, training=False,
-                                      rng=None):
-        prev = batch.prev_items[active]
-        c = model.pnn.encode([batch.contexts[lane] for lane in active], prev, training)
-        h = model.gru.step(prev, batch.session_boundary[active], lane_ids=active)
+    def through_differentiable_blocks(model, batch, cols=None, training=False, rng=None):
+        c = model.pnn.encode(batch.contexts, batch.prev_items, training)
+        h = model.gru.step(batch.prev_items, batch.session_boundary, lane_ids=batch.lanes)
         return model.head(c, h, training, cols=cols)
 
     monkeypatch.setattr(ArnnModel, "logits", through_differentiable_blocks)
@@ -369,25 +369,25 @@ def _stage_model(stage, dataset, seed):
 @pytest.mark.parametrize("stage", ["gru", "pnn", "merge"])
 def test_target_columns_match_full_logits(stage):
     # one training step scored on the batch's distinct targets against the
-    # same step scored on every item and gathered by top1_batch_loss
+    # same step scored on every item, then gathered by an exact one-hot product
     ds = toy_dataset(n_sessions=12, n_items=9, context_driven=True)
     models = [_stage_model(stage, ds, seed=4) for _ in range(2)]
     batch = next(iter(SessionParallelIterator(ds, 6)))
-    active = np.flatnonzero(batch.active)
-    targets = batch.target_items[active]
-    cols, own = np.unique(targets, return_inverse=True)
+    cols, own = np.unique(batch.target_items, return_inverse=True)
     assert 2 <= len(cols) < 9
+    one_hot = np.zeros((9, len(cols)))
+    one_hot[cols, np.arange(len(cols))] = 1.0
     results = []
-    for model, (cols_arg, lane_targets) in zip(models, [(cols, own), (None, targets)]):
+    for model, cols_arg in zip(models, [cols, None]):
         model.reset(6)
-        logits = model.logits(batch, active, cols_arg, training=True,
-                              rng=np.random.default_rng(9))
-        loss, n_rows = top1_batch_loss(logits, lane_targets)
+        logits = model.logits(batch, cols_arg, training=True, rng=np.random.default_rng(9))
+        if cols_arg is None:
+            logits = T.matmul(logits, T.constant(one_hot))
+        loss = top1_batch_loss(logits, own)
         T.backward(loss)
         grads = {p.name: p.grad.copy() for p in model.parameters() if not p.frozen}
-        results.append((float(loss.data), n_rows, grads))
-    (loss_s, rows_s, grads_s), (loss_d, rows_d, grads_d) = results
-    assert rows_s == rows_d == len(active)
+        results.append((float(loss.data), grads))
+    (loss_s, grads_s), (loss_d, grads_d) = results
     assert_allclose(loss_s, loss_d, rtol=1e-12, atol=0)
     for name, g in grads_d.items():
         assert_allclose(grads_s[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(),
@@ -404,6 +404,46 @@ def test_run_stage_deterministic_history(tmp_path):
     r1 = run_stage(small_plan("gru", epochs=3), ds, tmp_path / "a")
     r2 = run_stage(small_plan("gru", epochs=3), ds, tmp_path / "b")
     assert history_tsv(r1.history) == history_tsv(r2.history)
+
+
+def test_run_stage_skip_rules(tmp_path, monkeypatch):
+    # two lanes over one long session and two one-step sessions that both
+    # target item 1: in every session order, one batch pairs two rows with
+    # target 1 and the long session ends alone in one-row batches
+    schema = FieldSchema([("f", ["a", "unknown"])], [f"i{k}" for k in range(8)])
+    item_lists = [[0, 1, 2, 3, 4, 5], [6, 1], [7, 1], [2, 3]]  # the last validates
+    ds = SessionDataset([Session([((0,), i) for i in items], start_time=k)
+                         for k, items in enumerate(item_lists)], schema)
+    emitted, scored = [], []
+    steps = []
+
+    class Recorded(SessionParallelIterator):
+        def __next__(self):
+            emitted.append(super().__next__())
+            return emitted[-1]
+
+    raw_logits, raw_step = GruSessionModel.logits, Adagrad.step
+
+    def logits(model, batch, cols=None, training=False, rng=None):
+        if training:
+            scored.append(batch)
+        return raw_logits(model, batch, cols, training, rng)
+
+    def step(optimizer):
+        steps.append(len(scored))
+        raw_step(optimizer)
+
+    monkeypatch.setattr("arnn.training.SessionParallelIterator", Recorded)
+    monkeypatch.setattr(GruSessionModel, "logits", logits)
+    monkeypatch.setattr(Adagrad, "step", step)
+    run_stage(small_plan("gru", batch_lanes=2, epochs=3), ds, tmp_path)
+    assert any(len(b.lanes) == 1 for b in emitted)
+    assert [id(b) for b in scored] == [id(b) for b in emitted if len(b.lanes) >= 2]
+    shared = [i for i, b in enumerate(scored, start=1)
+              if len(set(b.target_items.tolist())) == 1]
+    assert shared
+    # one update per scored batch with two or more distinct targets
+    assert steps == [i for i in range(1, len(scored) + 1) if i not in shared]
 
 
 def test_run_stage_divergence_aborts_with_checkpoint(tmp_path):
