@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     DataError,
     NumericError,
+    SchemaError,
     VocabularyError,
 )
 from .evaluate import EvalReport, build_itemknn, evaluate_system, top_k_items
@@ -188,6 +189,8 @@ def cmd_evaluate(cfg) -> int:
         raise ConfigError("model systems need --checkpoints")
     test = SessionDataset.load(cfg["data"])
     train = SessionDataset.load(cfg["train_data"]) if cfg["train_data"] else None
+    if train is not None and train.schema.hash() != test.schema.hash():
+        raise SchemaError(f"{cfg['train_data']} and {cfg['data']} have different schemas")
     rows = []
     for name in systems:
         system = _load_system(name, cfg["checkpoints"], test.schema.hash(), train)
@@ -272,8 +275,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arnn",
         description="Session recommender: context-augmented recurrent model tooling",
     )
@@ -291,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, table, _ = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        handler, table, _ = COMMANDS[args.command]
         file_values = parse_config_file(args.config) if args.config else {}
         cfg = resolve(table, file_values, {k: getattr(args, k) for k in table})
         guard = _finite_guard(cfg["check_finite"]) if "check_finite" in cfg else None

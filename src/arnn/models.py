@@ -5,7 +5,8 @@ per-lane hidden state that resets at session boundaries.
 
 PnnEncoder: per-field category embeddings (previous item is one more
 field), a product layer of all pairwise inner products next to the
-concatenated embeddings, then FC -> ReLU -> batch norm producing the
+concatenated embeddings (one graph node, ``T.product_layer``, whose
+reference is the composed ops), then FC -> ReLU -> batch norm producing the
 context feature vector; a score projection on top is used only for
 pretraining and the standalone baseline.
 
@@ -271,16 +272,9 @@ class PnnEncoder:
         field contributes exactly one embedding to the product layer.
         """
         prev_items = _check_items(prev_items, self.n_items)
-        per_field = self._split_contexts(contexts)
-        embeds = [
-            T.embedding_bag_mean(table, flat, offs)
-            for table, (flat, offs) in zip(self.field_embeddings, per_field)
-        ]
-        embeds.append(T.embedding(self.item_embedding, prev_items))
-        linear = T.concat(embeds, axis=1)
-        products = T.pairwise_inner(embeds)
-        return T.relu(T.affine(T.concat([linear, products], axis=1),
-                               self.fc_weight, self.fc_bias))
+        x = T.product_layer(self.field_embeddings, self._split_contexts(contexts),
+                            self.item_embedding, prev_items)
+        return T.relu(T.affine(x, self.fc_weight, self.fc_bias))
 
     def encode(self, contexts, prev_items, training: bool) -> T.Tensor:
         """Context feature vector: the batch-normalised features."""

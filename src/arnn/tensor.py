@@ -14,6 +14,10 @@ Gradients stay dense arrays, but a Parameter records where backward wrote
 into them: ``embedding`` marks the rows it gathered and ``affine_columns``
 the weight columns and bias entries it read, every other op marks the whole
 tensor.  An optimizer can then update only the touched slices.
+
+``product_layer`` is one node for PNN's chain of the other ops (field means,
+item gather, concat, ``pairwise_inner``), with their arithmetic in their
+order; those ops stay as its reference, and as the TOP1 node's in training.
 """
 
 from __future__ import annotations
@@ -373,13 +377,11 @@ def mean_all(x) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids exp overflow for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below: exp never
+    # overflows, and both sides are computed everywhere, with no masked gathers
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x) -> Tensor:
@@ -543,6 +545,44 @@ def pairwise_inner(fields) -> Tensor:
             _acc(t, gx[:, i, :])
 
     return _node(out, tuple(ts), bwd, "pairwise_inner")
+
+
+def product_layer(field_tables, per_field, item_table, items) -> Tensor:
+    """PNN input rows [fields | pairwise_inner(fields)] as one node.
+
+    Field f is ``embedding_bag_mean(field_tables[f], *per_field[f])`` and the
+    last field ``embedding(item_table, items)``; values, gradients and touched
+    marks are those ops' and ``concat``'s bit for bit.
+    """
+    tables, item = [as_tensor(t) for t in field_tables], as_tensor(item_table)
+    flats = [np.asarray(flat, dtype=np.int64) for flat, _ in per_field]
+    items = np.asarray(items, dtype=np.int64)
+    counts = np.diff(np.stack([offs for _, offs in per_field], axis=1), axis=0)  # [n, F-1]
+    (n, n_bags), e = counts.shape, item.data.shape[1]
+    f_count = n_bags + 1
+    # each gathered row's (row, field) bag, field by field like the gather
+    bag = np.repeat(np.arange(n * n_bags).reshape(n, n_bags).T.ravel(), counts.T.ravel())
+    # bincount adds each slot's entries in order onto 0.0, as np.add.at does
+    gathered = np.concatenate([t.data[i] for t, i in zip(tables, flats)])
+    sums = np.bincount((bag[:, None] * e + np.arange(e)).ravel(), gathered.ravel(), n * n_bags * e)
+    stacked = np.empty((n, f_count, e))  # [B,F,E]
+    np.divide(sums.reshape(n, n_bags, e), counts[:, :, None], out=stacked[:, :n_bags])
+    stacked[:, n_bags] = item.data[items]
+    gram = np.einsum("bfe,bge->bfg", stacked, stacked)
+    iu, ju = np.triu_indices(f_count, k=1)
+    out = np.concatenate([stacked.reshape(n, -1), gram[:, iu, ju]], axis=1)
+
+    def bwd(g):
+        w = np.zeros((n, f_count, f_count))
+        w[:, iu, ju] = w[:, ju, iu] = g[:, f_count * e:]
+        gx = g[:, :f_count * e].reshape(n, f_count, e) + np.einsum("bfg,bge->bfe", w, stacked)
+        contrib = gx[:, :n_bags].reshape(-1, e)[bag] / counts.reshape(-1)[bag][:, None]
+        pieces = np.split(contrib, np.cumsum([len(i) for i in flats])[:-1])
+        for t, i, piece in zip(tables, flats, pieces):
+            np.add.at(_grad_buffer(t), i, piece)
+        np.add.at(_grad_buffer(item, 0, items), items, gx[:, n_bags])
+
+    return _node(out, (*tables, item), bwd, "product_layer")
 
 
 def take_rc(x, rows, cols) -> Tensor:

@@ -25,6 +25,9 @@ values, so backward and the optimizer touch only the encoder's batch norm
 and the merge head.
 ``ArnnModel.step_scores`` remains the differentiable reference through
 every block; both give the same losses and checkpoints.
+``top1_batch_loss`` is one graph node whose values and gradients are, bit for
+bit, those of the composed ``take_rc``, ``sub``, ``sigmoid``, ``mul`` and
+``sum_all`` graph, its reference (with ``top1_loss``).
 """
 
 from __future__ import annotations
@@ -66,16 +69,27 @@ def top1_batch_loss(logits: T.Tensor, own) -> T.Tensor | None:
     distinct targets minus any equal to its own, which are the other m - 1
     columns; with one distinct target there are none and the loss is None.
     """
-    scores = T.as_tensor(logits)                               # [n,m]
-    n, m = scores.shape
+    x = T.as_tensor(logits)                                    # [n,m]
+    n, m = x.shape
     if m < 2:
         return None
-    pos = T.take_rc(scores, np.arange(n), own)                 # [n]
-    diff = T.sub(scores, T.reshape(pos, (n, 1)))
-    terms = T.add(T.sigmoid(diff), T.sigmoid(T.mul(scores, scores)))
+    rows = np.arange(n)
+    sd = T._sigmoid_values(x.data - x.data[rows, own][:, None])
+    ss = T._sigmoid_values(x.data * x.data)
     weights = np.full((n, m), 1.0 / (m - 1) / n)
-    weights[np.arange(n), own] = 0.0
-    return T.sum_all(T.mul(terms, T.constant(weights)))
+    weights[rows, own] = 0.0
+
+    def bwd(g):
+        w = g * weights
+        gx = w * sd * (1.0 - sd)
+        gs = w * ss * (1.0 - ss)
+        # the composed graph's order: the difference, its positive, then the square twice
+        np.add.at(gx, (rows, own), (-gx).sum(axis=1))
+        gx += gs * x.data
+        gx += gs * x.data
+        T._acc(x, gx)
+
+    return T._node(np.asarray(((sd + ss) * weights).sum()), (x,), bwd, "top1_batch_loss")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +109,8 @@ class Adagrad:
     that formula, with the same operations as a dense step.  Every other
     entry has g = 0, where the formula leaves acc as it is and reduces to
     value -= lr * wd * value: one dense pass when wd > 0, nothing when wd = 0
-    (the same values; only a -0.0 entry could come out as +0.0).
+    (the same values; only a -0.0 entry could come out as +0.0).  Temporaries
+    go to two preallocated arrays, so a step allocates nothing table-sized.
     """
 
     def __init__(self, params, learning_rate: float, weight_decay: float = 0.0):
@@ -106,22 +121,33 @@ class Adagrad:
         self.params = list(params)
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
+        # two arrays the size of the largest parameter, for every step's temporaries
+        self._scratch = np.empty((2, max((p.value.size for p in self.params), default=0)))
 
     def step(self) -> None:
         lr, wd = self.learning_rate, self.weight_decay
         for p in self.params:
             if not p.frozen:
                 where, g = p.touched_grad()
-                if not np.all(np.isfinite(g)):
+                if not np.isfinite(g).all():
                     raise NumericError(f"non-finite gradient for parameter {p.name!r}")
                 # views when `where` is everything, copies of the slices otherwise
                 acc, value = p.accumulator[where], p.value[where]
-                acc += g * g
-                value -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS) + lr * wd * value
+                # the formula's operations, one by one, in place in the scratch arrays
+                t1, t2 = self._scratch[:, :g.size].reshape((2,) + g.shape)
+                acc += np.multiply(g, g, out=t1)
+                np.sqrt(acc, out=t2)
+                t2 += ADAGRAD_EPS
+                np.multiply(g, lr, out=t1)
+                t1 /= t2
+                if wd > 0:
+                    t1 += np.multiply(value, lr * wd, out=t2)
+                value -= t1
                 if where is not ...:
                     p.accumulator[where] = acc
                     if wd > 0:
-                        p.value -= lr * wd * p.value
+                        decay = self._scratch[0, :p.value.size].reshape(p.value.shape)
+                        p.value -= np.multiply(p.value, lr * wd, out=decay)
                     p.value[where] = value
             p.zero_grad()
 

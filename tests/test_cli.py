@@ -362,21 +362,39 @@ def test_missing_required_key_exits_2():
     assert main(["synth"]) == 2
 
 
-def test_evaluate_schema_mismatch_exits_3(tmp_path, synth_dir):
-    other_raw = tmp_path / "raw2"
-    other_data = tmp_path / "data2"
-    assert main(["synth", "--out", str(other_raw), "--sessions", "60",
+@pytest.fixture(scope="module")
+def other_data(tmp_path_factory):
+    """A 30-item corpus: its schema differs from synth_dir's 60-item one."""
+    root = tmp_path_factory.mktemp("other")
+    assert main(["synth", "--out", str(root / "raw"), "--sessions", "60",
                  "--items", "30", "--seed", "4"]) == 0
     assert main([
-        "preprocess", "--input", str(other_raw / "events.tsv"),
-        "--out", str(other_data), "--item-coverage", "1.0",
+        "preprocess", "--input", str(root / "raw" / "events.tsv"),
+        "--out", str(root / "data"), "--item-coverage", "1.0",
         "--category-coverage", "1.0", "--gap-threshold-seconds", "1800",
     ]) == 0
+    return root / "data"
+
+
+def test_evaluate_schema_mismatch_exits_3(other_data, synth_dir):
     code = main([
         "evaluate", "--data", str(other_data / "test.json"),
         "--systems", "gru", "--checkpoints", str(synth_dir["ckpt"]),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("train_items", [30, 60])
+def test_evaluate_itemknn_on_another_schema_exits_3(other_data, synth_dir, capsys,
+                                                    train_items):
+    # item-KNN trained on 30 items and tested on 60, and the other way round
+    data = {30: other_data, 60: synth_dir["data"]}
+    train, test = data[train_items] / "train.json", data[90 - train_items] / "test.json"
+    assert main(["evaluate", "--data", str(test), "--train-data", str(train),
+                 "--systems", "itemknn"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err, f"data error: {train} and {test} have different schemas")
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +438,13 @@ def test_not_a_dataset_exits_3(synth_dir, tmp_path, capsys, command, content):
     (["train", "--stage", "bogus"], "unknown stage 'bogus'"),
     (["train", "--stage", "gru", "--profile", "bogus"], "unknown profile 'bogus'"),
     (["synth", "--context-mode", "bogus"], "context_mode must be"),
+    # argparse reads a value that starts with '-' and is no plain number as a flag
+    (["preprocess", "--input", "in.tsv", "--gap-threshold-seconds", "-1e3"],
+     "argument --gap-threshold-seconds: expected one argument"),
+    (["preprocess", "--input", "in.tsv", "--gap-threshold-seconds", "-inf"],
+     "argument --gap-threshold-seconds: expected one argument"),
+    (["train", "--stage", "gru", "--epochs", "abc"], "invalid int value: 'abc'"),
+    (["synth", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
 ])
 def test_bad_choice_returns_2(synth_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -429,6 +454,12 @@ def test_bad_choice_returns_2(synth_dir, tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert _one_line(err, "configuration error: ") and message in err
     assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0 and "--stage" in capsys.readouterr().out
 
 
 def _sample(key: str, kind):

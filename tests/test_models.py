@@ -214,6 +214,39 @@ def test_pnn_multivalued_field_averages_embeddings():
     assert_allclose(c1, expected, atol=1e-12)
 
 
+def _composed_features(pnn, contexts, prev):
+    """Pre-norm features from the composed ops: the product-layer node's reference."""
+    embeds = [T.embedding_bag_mean(table, flat, offs) for table, (flat, offs)
+              in zip(pnn.field_embeddings, pnn._split_contexts(contexts))]
+    embeds.append(T.embedding(pnn.item_embedding, prev))
+    x = T.concat([T.concat(embeds, axis=1), T.pairwise_inner(embeds)], axis=1)
+    return T.relu(T.affine(x, pnn.fc_weight, pnn.fc_bias))
+
+
+def test_product_layer_node_is_the_composed_ops_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for trial in range(10):
+        sizes = rng.integers(1, 6, size=int(rng.integers(1, 5))).tolist()
+        fused, composed = (small_pnn(field_sizes=sizes, embed=4, context=7, n_items=6,
+                                     seed=trial) for _ in range(2))
+        contexts = []  # multi-valued fields, positions in any order
+        for _ in range(int(rng.integers(2, 9))):
+            ctx = [int(off + i) for off, size in zip(fused.field_offsets, sizes)
+                   for i in rng.choice(size, int(rng.integers(1, size + 1)), replace=False)]
+            contexts.append(tuple(rng.permutation(ctx).tolist()))
+        prev = rng.integers(0, 6, size=len(contexts))  # repeats on purpose
+        weights = T.constant(rng.normal(size=(len(contexts), 7)))
+        out = fused.features(contexts, prev)
+        reference = _composed_features(composed, contexts, prev)
+        assert out.data.tobytes() == reference.data.tobytes()
+        T.backward(T.sum_all(T.mul(out, weights)))
+        T.backward(T.sum_all(T.mul(reference, weights)))
+        assert fused.item_embedding.touched() is not ...  # the gathered rows only
+        for p, q in zip(fused.parameters(), composed.parameters()):
+            assert str(p.touched()) == str(q.touched()), p.name
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+
 def test_pnn_empty_field_errors():
     pnn = small_pnn(field_sizes=(3, 2))
     with pytest.raises(SchemaError):

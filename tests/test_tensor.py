@@ -218,6 +218,30 @@ def test_sigmoid_extreme_inputs_are_stable():
     assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
 
+def _piecewise_sigmoid(x):
+    """1/(1+exp(-x)) on x >= 0, exp(x)/(1+exp(x)) elsewhere, by masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_values_are_the_piecewise_reference_bit_for_bit():
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308,
+             np.inf, -np.inf]
+    edges += [s * v for v in (709.0, 710.0, 745.0, 746.0) for s in (1, -1)]
+    x = np.concatenate([edges, RNG.normal(scale=30.0, size=200_000)])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = T._sigmoid_values(x)
+    assert got.tobytes() == _piecewise_sigmoid(x).tobytes()
+    for shape in [(32, 48), (3, 1), ()]:  # sizes that leave SIMD tails
+        y = RNG.normal(scale=5.0, size=shape)
+        assert T._sigmoid_values(y).tobytes() == _piecewise_sigmoid(np.atleast_1d(y)).tobytes()
+    assert np.isnan(T._sigmoid_values(np.array([np.nan]))).all()
+
+
 # ---------------------------------------------------------------------------
 # backward mechanics
 

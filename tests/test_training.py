@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -115,6 +117,39 @@ def test_top1_batch_gradient():
     )
 
 
+def _composed_top1_batch_loss(scores, own):
+    """TOP1 over in-batch negatives from composed ops: the fused node's reference."""
+    scores = T.as_tensor(scores)
+    n, m = scores.shape
+    pos = T.take_rc(scores, np.arange(n), own)
+    diff = T.sub(scores, T.reshape(pos, (n, 1)))
+    terms = T.add(T.sigmoid(diff), T.sigmoid(T.mul(scores, scores)))
+    weights = np.full((n, m), 1.0 / (m - 1) / n)
+    weights[np.arange(n), own] = 0.0
+    return T.sum_all(T.mul(terms, T.constant(weights)))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (5, 2), (6, 4), (32, 20)])
+def test_top1_batch_loss_is_the_composed_graph_bit_for_bit(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    for trial in range(20):
+        # every column is some row's target, and n > m repeats targets
+        own = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, n - m)]))
+        values = rng.normal(scale=3.0, size=(n, m))
+        values[0, 0] = 40.0 * (-1) ** trial  # saturated sigmoids
+        fused, composed = T.Parameter(values, "fused"), T.Parameter(values, "composed")
+        loss = top1_batch_loss(fused, own)
+        reference = _composed_top1_batch_loss(composed, own)
+        assert loss.data.tobytes() == reference.data.tobytes()
+        T.backward(loss)
+        T.backward(reference)
+        assert fused.grad.tobytes() == composed.grad.tobytes()
+    if n * m <= 24:
+        logits = T.Parameter(rng.normal(size=(n, m)), "logits")
+        assert_param_grads_match(lambda: top1_batch_loss(logits, own), [logits],
+                                 rel=1e-6, abs_floor=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # Adagrad
 
@@ -193,6 +228,24 @@ def test_adagrad_non_finite_gradient_in_touched_rows():
     assert table.touched() is not ...
     with pytest.raises(NumericError, match="gru/item_embedding"):
         Adagrad([table], learning_rate=0.1).step()
+
+
+def test_adagrad_sliced_step_allocates_no_table_sized_temporary():
+    # the weight-decay pass over an untouched remainder reuses the step's scratch
+    table = T.Parameter(np.random.default_rng(4).normal(size=(3000, 100)), "table")
+    opt = Adagrad([table], learning_rate=0.1, weight_decay=1e-6)
+    rows = np.array([3, 7, 7, 2999])
+    T.backward(T.sum_all(T.embedding(table, rows)))
+    opt.step()
+    T.backward(T.sum_all(T.embedding(table, rows)))
+    assert table.touched() is not ...
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.value.nbytes
 
 
 def _sparse_and_dense_twins(rng):
