@@ -77,6 +77,9 @@ def cmd_preprocess(cfg) -> int:
     for key in ("gap_threshold_seconds", "test_window_days"):
         if not cfg[key] >= 0:  # NaN fails every comparison
             raise ConfigError(f"{key} must be non-negative, got {cfg[key]}")
+    for key in ("item_coverage", "category_coverage"):
+        if not 0 < cfg[key] <= 1:
+            raise ConfigError(f"{key} must be in (0, 1], got {cfg[key]}")
     events = read_events(cfg["input"])
     train, test, summary = preprocess(
         events,

@@ -8,6 +8,10 @@ with one row of scores per batch row; the merge model's equal its reference
 session, the item-KNN and context-encoder baselines condition on the
 previous step alone.  Ties in the ranking break deterministically by
 ascending item index.
+
+The item-KNN table keeps only each row's top-M entries, in CSR arrays
+(``indptr``, ``indices``, ``values``); its dense [V, V] form exists only as
+the ``ItemKnnIndex.sim`` view, which costs O(V^2) per access.
 """
 
 from __future__ import annotations
@@ -79,22 +83,50 @@ def top_k_items(scores: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class ItemKnnIndex:
-    """Cosine similarity over binary session-incidence vectors, top-M per item."""
+    """Cosine similarity over binary session-incidence vectors, top-M per item.
 
-    sim: np.ndarray  # [V,V], zero diagonal, zero outside each row's top-M
+    The kept entries are stored in CSR form: row i's columns and values are
+    ``indices[indptr[i]:indptr[i + 1]]`` and ``values[...]`` over the same
+    slice, and every other entry of the row is +0.0.  Scores for a batch are
+    scattered into a zeroed [n, V] block, so memory is O(V * M) and never
+    [V, V].  ``sim`` is the whole [V, V] table, built on each access; it is
+    an O(V^2) view for tests to check against, not for program paths.
+    """
+
+    indptr: np.ndarray  # [V+1]
+    indices: np.ndarray  # [nnz]
+    values: np.ndarray  # [nnz]
     lam: float
     top_m: int
 
     kind = "itemknn"
 
+    def _rows(self, items) -> np.ndarray:
+        """The table's rows for `items`, as a new [len(items), V] array."""
+        items = np.asarray(items, dtype=np.int64)
+        n, v = len(items), len(self.indptr) - 1
+        begin = self.indptr[items]
+        size = self.indptr[items + 1] - begin
+        at = np.repeat(begin - (np.cumsum(size) - size), size) + np.arange(size.sum())
+        out = np.zeros((n, v))
+        # flat positions: a 1-D scatter is about 3x faster than a (row, column) one
+        flat = np.repeat(np.arange(0, n * v, v), size) + self.indices[at]
+        out.reshape(-1)[flat] = self.values[at]
+        return out
+
+    @property
+    def sim(self) -> np.ndarray:
+        """The dense [V, V] table, zero diagonal, zero outside each row's top M."""
+        return self._rows(np.arange(len(self.indptr) - 1))
+
     def scores(self, prev_item: int) -> np.ndarray:
-        return self.sim[prev_item]
+        return self._rows([prev_item])[0]
 
     def reset(self, n_lanes: int) -> None:
         """Stateless: a step depends on its previous item only."""
 
     def logits(self, batch, cols=None, training=False, rng=None) -> T.Tensor:
-        rows = self.sim[batch.prev_items]
+        rows = self._rows(batch.prev_items)
         return T.constant(rows if cols is None else rows[:, cols])
 
 
@@ -106,9 +138,14 @@ def build_itemknn(train: SessionDataset, lam: float = 20.0, top_m: int = 100
     the table is built from those pairs alone: each ordered pair (i, j) is
     counted once per session, its value computed, and the pairs sorted by
     row, then value descending, then column ascending.  The first top_m of
-    each row go into the zero table, which breaks ties at the cut by
-    ascending column.  No [sessions, V] or [rows, V] array is made.
+    each row are kept, which breaks ties at the cut by ascending column, and
+    are the CSR entries in that order.  No [sessions, V] or [V, V] array is
+    made.  lam must be finite and non-negative, top_m at least 1.
     """
+    if not (np.isfinite(lam) and lam >= 0):
+        raise EvaluationError(f"lam must be finite and non-negative, got {lam}")
+    if top_m < 1:
+        raise EvaluationError(f"top_m must be at least 1, got {top_m}")
     if not train.sessions:
         raise EvaluationError("cannot build an item index from an empty dataset")
     n_items = len(train.schema.item_vocabulary)
@@ -131,9 +168,8 @@ def build_itemknn(train: SessionDataset, lam: float = 20.0, top_m: int = 100
     order = np.lexsort((j, -value, i))
     i, j, value = i[order], j[order], value[order]
     keep = np.arange(len(i)) - np.searchsorted(i, i) < top_m
-    sim = np.zeros((n_items, n_items))
-    sim[i[keep], j[keep]] = value[keep]
-    return ItemKnnIndex(sim=sim, lam=lam, top_m=top_m)
+    indptr = np.searchsorted(i[keep], np.arange(n_items + 1))
+    return ItemKnnIndex(indptr, j[keep], value[keep], lam=lam, top_m=top_m)
 
 
 # ---------------------------------------------------------------------------

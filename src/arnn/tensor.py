@@ -10,10 +10,13 @@ Only the broadcasting the model code actually uses is supported (bias
 rows, per-row scalars); there are no GPU kernels or graph rewrites.
 Arrays are float64, so finite-difference checks have headroom.
 
-Gradients stay dense arrays, but a Parameter records where backward wrote
-into them: ``embedding`` marks the rows it gathered and ``affine_columns``
-the weight columns and bias entries it read, every other op marks the whole
-tensor.  An optimizer can then update only the touched slices.
+A Parameter allocates its dense gradient array on the first backward write
+or ``grad`` read, and an optimizer allocates its accumulator, so a model that
+only evaluates holds its values alone.  A Parameter records where backward
+wrote into its gradient: ``embedding`` marks the rows it gathered and
+``affine_columns`` the weight columns and bias entries it read, every other
+op marks the whole tensor.  An optimizer can then update only the touched
+slices.
 
 ``product_layer`` is one node for PNN's chain of the other ops (field means,
 item gather, concat, ``pairwise_inner``), with their arithmetic in their
@@ -70,9 +73,11 @@ class Tensor:
 class Parameter:
     """Trainable value with gradient and optimizer-accumulator slots.
 
-    ``grad`` and ``accumulator`` always share the value's shape.  A frozen
-    parameter still receives gradients from backward(); optimizers must
-    leave its value untouched.
+    Both slots start empty.  The gradient, zeros of the value's shape, is
+    allocated on the first backward write or ``grad`` read; the accumulator
+    is the optimizer's to allocate (``Adagrad`` does so for the parameters it
+    updates).  A frozen parameter still receives gradients from backward();
+    optimizers must leave its value untouched.
 
     The parameter also records which entries backward wrote into since the
     gradient was last zeroed (see ``touched``).  Reading ``grad`` counts as
@@ -86,8 +91,8 @@ class Parameter:
         if arr.dtype.kind != "f":
             arr = arr.astype(DEFAULT_DTYPE)
         self.value = arr.copy()
-        self._grad = np.zeros_like(self.value)
-        self.accumulator = np.zeros_like(self.value)
+        self._grad = None
+        self.accumulator = None
         self.frozen = frozen
         self.name = name
         # axis -> bool mask of the indices written along it; None: everything
@@ -100,6 +105,12 @@ class Parameter:
     @property
     def grad(self) -> np.ndarray:
         self._marks = None
+        return self.grad_buffer()
+
+    def grad_buffer(self) -> np.ndarray:
+        """The gradient array, allocated as zeros on first use; no write is recorded."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
         return self._grad
 
     def mark(self, axis: int | None = None, index=None) -> None:
@@ -133,17 +144,18 @@ class Parameter:
         """``touched()`` and the gradient there (a copy unless that is
         everything); unlike ``grad``, this does not count as a write."""
         where = self.touched()
-        return where, self._grad[where]
+        return where, self.grad_buffer()[where]
 
     def as_tensor(self) -> Tensor:
-        """Leaf node whose grad buffer is this parameter's (shared reference)."""
+        """Leaf node whose grad buffer is this parameter's (shared reference,
+        taken when backward first writes into the leaf)."""
         t = Tensor(self.value, needs_grad=True)
-        t.grad = self._grad
         t.param = self
         return t
 
     def zero_grad(self) -> None:
-        self._grad[self.touched()] = 0.0
+        if self._grad is not None:
+            self._grad[self.touched()] = 0.0
         self._marks = {}
 
     def __repr__(self):
@@ -170,22 +182,22 @@ def _node(data, parents, backward, op: str) -> Tensor:
 
 
 def _grad_buffer(t: Tensor, axis: int | None = None, index=None) -> np.ndarray:
-    """t's gradient buffer for a write at `index` along `axis` (None: anywhere)."""
+    """t's gradient buffer for a write at `index` along `axis` (None: anywhere).
+
+    A parameter's leaf writes into the parameter's own buffer, so leaves of
+    one parameter accumulate together.
+    """
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
+        t.grad = np.zeros_like(t.data) if t.param is None else t.param.grad_buffer()
     if t.param is not None:
         t.param.mark(axis, index)
     return t.grad
 
 
 def _acc(t: Tensor, g) -> None:
-    if not t._needs_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    elif t.param is not None:
-        t.param.mark()
-    t.grad += g
+    if t._needs_grad:
+        buf = _grad_buffer(t)
+        buf += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

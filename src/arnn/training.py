@@ -103,7 +103,8 @@ class Adagrad:
 
     Per unfrozen parameter: acc += g^2; value -= lr * g / (sqrt(acc) + eps)
     + lr * wd * value.  Frozen parameters are left untouched.  Gradients
-    are zeroed after the step.
+    are zeroed after the step.  A parameter with no accumulator yet gets a
+    zero one when the optimizer is built.
 
     Only the entries backward wrote into (``Parameter.touched``) go through
     that formula, with the same operations as a dense step.  Every other
@@ -119,6 +120,9 @@ class Adagrad:
         if weight_decay < 0:
             raise ConfigError(f"weight decay must be non-negative, got {weight_decay}")
         self.params = list(params)
+        for p in self.params:
+            if p.accumulator is None:
+                p.accumulator = np.zeros_like(p.value)
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         # two arrays the size of the largest parameter, for every step's temporaries

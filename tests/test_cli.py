@@ -358,6 +358,34 @@ def test_preprocess_nan_or_negative_setting_exits_2(tmp_path, capsys, key, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["item_coverage", "category_coverage"])
+@pytest.mark.parametrize("value", ["0", "nan", "7", "1.5", "-0.5"])
+def test_preprocess_coverage_out_of_range_exits_2(tmp_path, capsys, key, value):
+    # the input does not exist: the setting is rejected before it is read
+    out = tmp_path / "out"
+    assert main(["preprocess", "--input", str(tmp_path / "nope.tsv"), "--out", str(out),
+                 f"--{key.replace('_', '-')}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err, "configuration error: ")
+    assert f"{key} must be in (0, 1], got {float(value)}" in err
+    assert not out.exists()
+
+
+def test_preprocess_coverage_checked_without_multivalued_fields(tmp_path, capsys):
+    # no field is multi-valued, so preprocess itself never looks at the setting
+    events = tmp_path / "events.tsv"
+    events.write_text("user_id\titem_id\ttimestamp\tf0\n" + "".join(
+        f"u{u}\ti{(u + k) % 4}\t{u * 86400 + k * 60}\ta\n" for u in range(10) for k in range(3)),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["preprocess", "--input", str(events), "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    assert main(["preprocess", "--input", str(events), "--out", str(out),
+                 "--category-coverage", "0"]) == 2
+    assert _one_line(capsys.readouterr().err, "configuration error: category_coverage")
+    assert not out.exists()
+
+
 def test_missing_required_key_exits_2():
     assert main(["synth"]) == 2
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +18,13 @@ from arnn.evaluate import (
     recall_at_k,
     top_k_items,
 )
-from arnn.models import ArnnModel, GruSessionModel, PnnEncoder
+from arnn.models import (
+    ArnnModel,
+    GruSessionModel,
+    PnnEncoder,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def make_dataset(item_lists, n_items=10, n_cats=2):
@@ -151,23 +159,13 @@ def _random_item_lists():
 
 
 # the random sessions leave some of the 600 items out, and at lam = 0 the
-# reference below divides 0 by 0 for those: the lam = 0 cases add sessions
+# reference below divides 0 by 0 for those: the lam = 0 case adds sessions
 # that hold every item
 _EVERY_ITEM = [[k, k + 1] for k in range(0, 600, 2)]
 
 
-@pytest.mark.parametrize("item_lists, n_items, lam, top_m", [
-    (_random_item_lists(), 600, 2.0, 25),
-    (_random_item_lists(), 600, 20.0, 100),  # the values the CLI and the benchmark use
-    (_random_item_lists() + _EVERY_ITEM, 600, 0.0, 1),
-    (_random_item_lists() + _EVERY_ITEM, 600, 0.0, 0),
-    # a session of one repeated item, and item 600 in no session
-    (_random_item_lists() + [[7, 7, 7]], 601, 2.0, 25),
-], ids=["lam2-top25", "lam20-top100", "lam0-top1", "lam0-top0", "repeat-and-unheld"])
-def test_itemknn_matches_the_whole_table_build(item_lists, n_items, lam, top_m):
-    # the reference builds the whole [V, V] table from the dense incidence
-    # product and cuts each row on its own
-    ds = make_dataset(item_lists, n_items=n_items)
+def _whole_table(item_lists, n_items, lam):
+    # the whole [V, V] table from the dense incidence product
     incidence = np.zeros((len(item_lists), n_items))
     for row, items in enumerate(item_lists):
         incidence[row, items] = 1.0
@@ -176,17 +174,89 @@ def test_itemknn_matches_the_whole_table_build(item_lists, n_items, lam, top_m):
     denom = np.sqrt(counts)[:, None] * np.sqrt(counts)[None, :] + lam
     full = co / denom
     np.fill_diagonal(full, 0.0)
+    return full
+
+
+def _cut(full, top_m):
+    # each row's top_m on its own, ties by ascending column, into a zero table
     want = np.zeros_like(full)
-    for i in range(n_items):
+    for i in range(len(full)):
         top = np.argsort(-full[i], kind="stable")[:top_m]
         want[i, top] = full[i, top]
+    return want
+
+
+@pytest.mark.parametrize("item_lists, n_items, lam, top_m", [
+    (_random_item_lists(), 600, 2.0, 25),
+    (_random_item_lists(), 600, 20.0, 100),  # the values the CLI and the benchmark use
+    (_random_item_lists() + _EVERY_ITEM, 600, 0.0, 1),
+    # a session of one repeated item, and item 600 in no session
+    (_random_item_lists() + [[7, 7, 7]], 601, 2.0, 25),
+], ids=["lam2-top25", "lam20-top100", "lam0-top1", "repeat-and-unheld"])
+def test_itemknn_matches_the_whole_table_build(item_lists, n_items, lam, top_m):
+    ds = make_dataset(item_lists, n_items=n_items)
+    full = _whole_table(item_lists, n_items, lam)
     got = build_itemknn(ds, lam=lam, top_m=top_m).sim
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == _cut(full, top_m).tobytes()
     assert build_itemknn(ds, lam=lam, top_m=n_items).sim.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("top_m", [1, 5, 12])
+def test_itemknn_csr_scores_are_the_dense_table_bit_for_bit(top_m):
+    # two-item sessions over 12 items: equal co-counts and item counts make
+    # ties within rows, and at top_m = 1 and 5 across the cut
+    rng = np.random.default_rng(1)
+    item_lists = [rng.choice(12, size=2, replace=False).tolist() for _ in range(40)]
+    ds = make_dataset(item_lists, n_items=12)
+    full = _whole_table(item_lists, 12, 1.0)
+    ranked = -np.sort(-full, axis=1)
+    if top_m < 12:
+        assert np.any((ranked[:, top_m - 1] > 0) & (ranked[:, top_m - 1] == ranked[:, top_m]))
+    want = _cut(full, top_m)
+    index = build_itemknn(ds, lam=1.0, top_m=top_m)
+    for i in range(12):
+        assert index.scores(i).tobytes() == want[i].tobytes()
+    index.reset(3)
+    for batch in SessionParallelIterator(ds, 3):
+        cols = rng.integers(0, 12, size=7)  # with repeats
+        assert index.logits(batch).data.tobytes() == want[batch.prev_items].tobytes()
+        assert (index.logits(batch, cols).data.tobytes()
+                == want[batch.prev_items][:, cols].tobytes())
+
+
+def test_build_itemknn_peaks_below_one_dense_table():
+    rng = np.random.default_rng(3)
+    n_items = 2000
+    item_lists = [rng.integers(0, n_items, size=rng.integers(2, 9)).tolist()
+                  for _ in range(3000)]
+    ds = make_dataset(item_lists, n_items=n_items)
+    tracemalloc.start()
+    try:
+        index = build_itemknn(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_items * n_items * 8
+    assert index.indices.size > 0
+
+
+@pytest.mark.parametrize("lam, top_m", [(-1.0, 100), (float("nan"), 100), (float("inf"), 100),
+                                        (20.0, 0), (20.0, -3)],
+                         ids=["lam-negative", "lam-nan", "lam-inf", "top0", "top-negative"])
+def test_build_itemknn_rejects_bad_settings(lam, top_m):
+    ds = make_dataset([[0, 1], [1, 2]])
+    with pytest.raises(EvaluationError):
+        build_itemknn(ds, lam=lam, top_m=top_m)
 
 
 # ---------------------------------------------------------------------------
 # evaluate_system
+
+
+def _index(sim):
+    """An item-KNN index holding the nonzero entries of a dense table."""
+    i, j = np.nonzero(sim)
+    return ItemKnnIndex(np.searchsorted(i, np.arange(len(sim) + 1)), j, sim[i, j], 0.0, 10)
 
 
 def test_constant_perfect_predictor():
@@ -195,14 +265,14 @@ def test_constant_perfect_predictor():
     sim = np.zeros((10, 10))
     for i in range(9):
         sim[i, i + 1] = 1.0
-    report = evaluate_system(ItemKnnIndex(sim, 0.0, 10), ds, k=5)
+    report = evaluate_system(_index(sim), ds, k=5)
     assert report.recall == 1.0 and report.mrr == 1.0
     assert report.n_recs == 6 and report.n_hits == 6
 
 
 def test_first_step_produces_no_prediction():
     ds = make_dataset([[0, 1], [2, 3]])
-    report = evaluate_system(ItemKnnIndex(np.zeros((10, 10)), 0.0, 10), ds, k=3)
+    report = evaluate_system(_index(np.zeros((10, 10))), ds, k=3)
     assert report.n_recs == 2  # one prediction per two-step session
 
 
@@ -217,7 +287,7 @@ def test_evaluate_empty_dataset_errors():
     ds = make_dataset([[0, 1]])
     ds.sessions = []
     with pytest.raises(EvaluationError):
-        evaluate_system(ItemKnnIndex(np.zeros((10, 10)), 0.0, 10), ds, k=3)
+        evaluate_system(_index(np.zeros((10, 10))), ds, k=3)
 
 
 def test_evaluation_deterministic_across_runs():
@@ -286,6 +356,17 @@ def test_logits_equal_reference_path(kind):
         want = REFERENCE_PATHS[kind](reference, batch.prev_items, batch.contexts,
                                      batch.session_boundary, batch.lanes)
         assert system.logits(batch).data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gru", "pnn", "arnn"])
+def test_loaded_model_evaluates_without_gradient_or_accumulator(kind, tmp_path):
+    ds = make_dataset([[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 0, 1]])
+    path = tmp_path / f"{kind}.npz"
+    save_checkpoint(path, _build_system(kind, ds), "a" * 64)
+    model = load_checkpoint(path, "a" * 64, kind)
+    evaluate_system(model, ds, k=3)
+    for p in model.parameters():
+        assert p._grad is None and p.accumulator is None, p.name
 
 
 def test_report_formats():

@@ -86,6 +86,40 @@ def test_touched_records_embedding_rows():
     assert table.touched()[0].size == 0
 
 
+def test_grad_read_before_backward_is_zeros_and_a_whole_write():
+    table = T.Parameter(RNG.normal(size=(4, 3)), "emb")
+    assert table.touched()[0].size == 0
+    g = table.grad
+    assert g.shape == (4, 3) and not g.any()
+    assert table.touched() is ...
+    T.backward(T.sum_all(T.embedding(table, [2])))
+    assert table.grad is g  # backward wrote into the array that was read
+    assert_array_equal(g[2], 1.0)
+    assert not g[[0, 1, 3]].any()
+    assert table.touched() is ...
+
+
+@pytest.mark.parametrize("dense_first", [True, False])
+def test_leaves_of_one_parameter_accumulate_into_one_buffer(dense_first):
+    table = T.Parameter(RNG.normal(size=(5, 2)), "emb")
+    a, b = table.as_tensor(), table.as_tensor()  # neither has a buffer yet
+    dense, rows = T.sum_all(T.mul(a, 2.0)), T.sum_all(T.embedding(b, [1, 3, 1]))
+    T.backward(T.add(dense, rows) if dense_first else T.add(rows, dense))
+    want = np.full((5, 2), 2.0)
+    want[[1, 3]] += [[2.0], [1.0]]
+    assert a.grad is b.grad
+    assert_array_equal(table.grad, want)
+
+
+def test_leaves_of_one_parameter_keep_row_marks():
+    table = T.Parameter(RNG.normal(size=(5, 2)), "emb")
+    a, b = table.as_tensor(), table.as_tensor()
+    T.backward(T.add(T.sum_all(T.embedding(a, [4])), T.sum_all(T.embedding(b, [0]))))
+    assert_array_equal(table.touched()[0], [0, 4])
+    where, g = table.touched_grad()
+    assert_array_equal(g, np.ones((2, 2)))
+
+
 def test_touched_is_everything_after_a_dense_write():
     table = T.Parameter(RNG.normal(size=(6, 2)), "emb")
     loss = T.add(T.sum_all(T.embedding(table, [1])), T.sum_all(T.mul(table, 2.0)))

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from arnn import tensor as T
+from arnn import training
 from arnn.batching import MiniBatch, SessionParallelIterator, negatives_for
 from arnn.data import FieldSchema, Session, SessionDataset
 from arnn.errors import ConfigError, DataError, NumericError, PrerequisiteError
@@ -158,6 +159,18 @@ def test_adagrad_hand_example():
     p = T.Parameter(np.array([1.0]), "theta")
     p.grad[...] = 2.0
     opt = Adagrad([p], learning_rate=0.1)
+    opt.step()
+    assert_allclose(p.accumulator, [4.0])
+    assert_allclose(p.value, [1.0 - 0.1 * 2.0 / (2.0 + 1e-10)])
+
+
+def test_adagrad_on_a_fresh_parameter_matches_the_hand_example():
+    # the optimizer comes first and backward makes the gradient
+    p = T.Parameter(np.array([1.0]), "theta")
+    assert p.accumulator is None
+    opt = Adagrad([p], learning_rate=0.1)
+    assert p.accumulator.tolist() == [0.0]
+    T.backward(T.sum_all(T.mul(p, 2.0)))
     opt.step()
     assert_allclose(p.accumulator, [4.0])
     assert_allclose(p.value, [1.0 - 0.1 * 2.0 / (2.0 + 1e-10)])
@@ -384,6 +397,26 @@ def test_run_stage_merge_keeps_frozen_blocks(tmp_path):
     merged = load_checkpoint(tmp_path / "merge.npz")
     for p, q in zip(gru_before.parameters(), merged.gru.parameters()):
         assert p.value.tobytes() == q.value.tobytes(), p.name
+
+
+def test_merge_frozen_blocks_hold_no_gradient_or_accumulator(tmp_path, monkeypatch):
+    ds = toy_dataset(context_driven=True)
+    run_stage(small_plan("gru", epochs=2), ds, tmp_path)
+    run_stage(small_plan("pnn", epochs=2), ds, tmp_path)
+    built, build = [], training._build_stage_model
+
+    def keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(training, "_build_stage_model", keep)
+    run_stage(small_plan("merge", epochs=2), ds, tmp_path,
+              gru_checkpoint=tmp_path / "gru.npz", pnn_checkpoint=tmp_path / "pnn.npz")
+    for p in built[0].parameters():
+        if p.frozen:
+            assert p._grad is None and p.accumulator is None, p.name
+        else:
+            assert p._grad is not None and p.accumulator.any(), p.name
 
 
 def test_merge_on_constant_features_matches_step_scores(tmp_path, monkeypatch):
