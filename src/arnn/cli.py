@@ -113,8 +113,11 @@ def cmd_synth(cfg) -> int:
         raise ConfigError(
             f"context_mode must be 'informative' or 'random', got {cfg['context_mode']!r}"
         )
+    # a session visits each layer at most once, so it is at most fields + 1 long
+    max_len = min(7, cfg["fields"] + 1)
     spec = GeneratorSpec(
         n_sessions=cfg["sessions"], n_items=cfg["items"], n_fields=cfg["fields"],
+        min_len=min(4, max_len), max_len=max_len,
         informative=cfg["context_mode"] == "informative", seed=cfg["seed"],
     )
     events, truth = generate(spec)

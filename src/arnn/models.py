@@ -142,7 +142,7 @@ class GruSessionModel:
             lane_ids = np.arange(len(prev_items))
         if self.hidden is None:
             raise RuntimeError("call reset(n_lanes) before stepping")
-        h_prev = self.hidden[lane_ids].copy()
+        h_prev = self.hidden[lane_ids]  # fancy indexing copies
         h_prev[np.asarray(boundaries, dtype=bool)] = 0.0
         hp = T.constant(h_prev)
         x = T.embedding(self.item_embedding, prev_items)
@@ -178,6 +178,9 @@ class PnnEncoder:
     def __init__(self, field_sizes: list[int], field_offsets: list[int],
                  n_items: int, embed_dim: int, context_dim: int,
                  rng: np.random.Generator | None = None):
+        if not field_sizes:
+            raise SchemaError("the context encoder needs at least one context field, "
+                              "and the schema has none")
         rng = rng or np.random.default_rng(0)
         self.field_sizes = list(field_sizes)
         self.field_offsets = list(field_offsets)

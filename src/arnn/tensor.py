@@ -300,7 +300,8 @@ def _affine_inputs(x, weight, bias) -> tuple[Tensor, Tensor, Tensor]:
 def affine(x, weight, bias) -> Tensor:
     """x[B,I] @ weight[I,O] + bias[O]."""
     x, w, b = _affine_inputs(x, weight, bias)
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data  # in place: one [B, O] array, the same additions
 
     def bwd(g):
         _acc(x, g @ w.data.T)
@@ -319,7 +320,8 @@ def affine_columns(x, weight, bias, cols) -> Tensor:
     x, w, b = _affine_inputs(x, weight, bias)
     cols = np.asarray(cols, dtype=np.int64)
     w_cols = w.data[:, cols]
-    out = x.data @ w_cols + b.data[cols]
+    out = x.data @ w_cols
+    out += b.data[cols]
     sorted_cols = np.sort(cols)
     distinct = not np.any(sorted_cols[1:] == sorted_cols[:-1])
 

@@ -283,11 +283,11 @@ def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
     leaves the last good state on disk.  Training stops early when
     validation Recall@k has not improved for `patience` epochs.
     """
-    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(plan.seed)
     train, val = split_validation(dataset, plan.validation_fraction)
     schema_hash = dataset.schema.hash()
     model = _build_stage_model(plan, dataset, rng, gru_checkpoint, pnn_checkpoint)
+    os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, f"{plan.stage}.npz")
     save_checkpoint(ckpt_path, model, schema_hash)
     optimizer = Adagrad([p for p in model.parameters() if not p.frozen],

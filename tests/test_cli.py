@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -548,3 +549,43 @@ def test_synth_sizes_below_one_exit_2(tmp_path, capsys, flag, name):
     err = capsys.readouterr().err
     assert _one_line(err, "configuration error: ") and f"{name} must be at least {low}" in err
     assert not out.exists()
+
+
+def test_train_pnn_without_context_fields_exits_3(tmp_path, capsys):
+    events = tmp_path / "events.tsv"
+    events.write_text("user_id\titem_id\ttimestamp\n" + "".join(
+        f"u{u}\ti{(u + k) % 5}\t{u * 86400 + k * 60}\n" for u in range(30) for k in range(4)),
+        encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["preprocess", "--input", str(events), "--out", str(data),
+                 "--item-coverage", "1.0"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "ckpt"
+    assert main(["train", "--stage", "pnn", "--data", str(data / "train.json"),
+                 "--out", str(out), "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert _one_line(err, "data error: ") and "at least one context field" in err
+    assert not (out / "pnn.npz").exists()
+
+
+@pytest.mark.parametrize("fields", [1, 2, 3, 5])
+def test_synth_fewer_than_six_fields(tmp_path, fields):
+    # a session visits each of the fields' layers at most once
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--fields", str(fields), "--items", "60",
+                 "--sessions", "50"]) == 0
+    users = [line.split("\t")[0]
+             for line in (out / "events.tsv").read_text().splitlines()[1:]]
+    lengths = np.unique(users, return_counts=True)[1]
+    assert len(lengths) == 50
+    assert lengths.max() <= fields + 1
+    assert lengths.min() >= min(4, fields + 1)
+
+
+def test_synth_default_fields_output_is_unchanged(tmp_path):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--sessions", "40", "--seed", "3"]) == 0
+    digests = {name: hashlib.md5((out / name).read_bytes()).hexdigest()
+               for name in ("events.tsv", "truth.json")}
+    assert digests == {"events.tsv": "2773409bae3957754c1853395dd19954",
+                       "truth.json": "6eff9210301e5387cdb6b7b48e2e8490"}

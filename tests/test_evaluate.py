@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from arnn.batching import SessionParallelIterator
@@ -88,6 +90,33 @@ def test_rank_of_breaks_ties_by_index():
     assert rank_of(scores, 2) == 2
     assert rank_of(scores, 0) == 3
     assert rank_of(scores, 3) == 4
+
+
+# a few exact values, signed zeros among them, make ties common
+_SCORE = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e300]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCORE, min_size=1, max_size=40), st.data())
+def test_rank_of_is_the_stable_descending_position(values, data):
+    # independent oracle: position in a stable descending sort
+    scores = np.array(values)
+    order = np.argsort(-scores, kind="stable").tolist()
+    v = len(values)
+    for target in {0, v - 1, data.draw(st.integers(0, v - 1))}:
+        rank = rank_of(scores, target)
+        assert type(rank) is int
+        assert rank == order.index(target) + 1
+
+
+def test_rank_of_nan_target_ranks_first():
+    # no comparison with NaN holds, so nothing beats or ties a NaN target
+    scores = np.array([1.0, np.nan, 2.0, np.nan])
+    assert rank_of(scores, 1) == 1
+    assert rank_of(scores, 3) == 1
+    assert rank_of(scores, 0) == 2
+    assert rank_of(scores, 2) == 1
 
 
 def test_top_k_matches_rank_of():

@@ -43,6 +43,15 @@ def test_affine_columns_equals_affine_then_gather():
     assert_allclose(T.affine_columns(x, w, b, cols).data, full[:, cols], rtol=1e-14)
 
 
+def test_affine_values_are_matmul_plus_bias_bit_for_bit():
+    x = RNG.normal(size=(5, 4))
+    w = RNG.normal(size=(4, 9))
+    b = RNG.normal(size=9) * 1e3
+    assert_array_equal(T.affine(x, w, b).data, x @ w + b)
+    cols = np.array([8, 0, 8, 3])
+    assert_array_equal(T.affine_columns(x, w, b, cols).data, x @ w[:, cols] + b[cols])
+
+
 @pytest.mark.parametrize("cols", [[6, 1, 3], [2, 5, 2, 0, 5]])
 def test_grad_affine_columns(cols):
     # the second case repeats columns, whose gradients must add up
