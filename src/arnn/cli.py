@@ -220,8 +220,10 @@ def _parse_attrs(text: str) -> dict[str, list[str]]:
             continue
         if "=" not in part:
             raise ConfigError(f"attributes must be field=value pairs, got {part!r}")
-        name, _, value = part.partition("=")
-        attrs[name.strip()] = [v for v in value.strip().split("|") if v]
+        name, _, value = (s.strip() for s in part.partition("="))
+        if name in attrs:
+            raise ConfigError(f"field {name!r} given twice; separate its values with '|'")
+        attrs[name] = [v for v in value.split("|") if v]
     return attrs
 
 

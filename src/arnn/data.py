@@ -175,15 +175,15 @@ class SessionDataset:
 
     @classmethod
     def load(cls, path) -> "SessionDataset":
-        """Read a saved dataset; every context position must lie in the schema's layout.
+        """Read a saved dataset; each context has a position in every field and none outside.
 
         A session that is not an object with an integer ``start`` and a
         ``steps`` list, or a step that is not a [positions, item] pair of
         integers, raises DataError naming the session.
         """
         schema, raw_sessions = _read_dataset(path)
-        width = schema.one_hot_length
-        sessions = []
+        width, n_fields = schema.one_hot_length, len(schema.fields)
+        good, sessions = set(), []  # contexts checked already: a session repeats its own
         for n, s in enumerate(raw_sessions):
             # `type(v) is int`: a JSON bool or float is not an index
             if not (isinstance(s, dict) and type(s.get("start")) is int
@@ -196,13 +196,19 @@ class SessionDataset:
                         and all(type(p) is int for p in step[0]) and type(step[1]) is int):
                     raise DataError(f"{path}: session {n}: step {step!r} is not a "
                                     f"[positions, item] pair of integers")
-                outside = [p for p in step[0] if not 0 <= p < width]
-                if outside:
-                    raise SchemaError(
-                        f"{path}: context position {outside[0]} outside the one-hot layout "
-                        f"of length {width}"
-                    )
-                steps.append((tuple(step[0]), step[1]))
+                ctx = tuple(step[0])
+                if ctx not in good:
+                    outside = [p for p in ctx if not 0 <= p < width]
+                    if outside:
+                        raise SchemaError(f"{path}: context position {outside[0]} outside "
+                                          f"the one-hot layout of length {width}")
+                    empty = set(range(n_fields)).difference(
+                        bisect.bisect_right(schema.offsets, p) - 1 for p in ctx)
+                    if empty:
+                        raise SchemaError(f"{path}: session {n}: field {min(empty)} "
+                                          f"({schema.fields[min(empty)][0]!r}) has no position")
+                    good.add(ctx)
+                steps.append((ctx, step[1]))
             sessions.append(Session(steps=steps, start_time=s["start"]))
         return cls(sessions=sessions, schema=schema)
 

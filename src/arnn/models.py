@@ -3,12 +3,13 @@
 GruSessionModel: item embedding -> GRU cell -> item-score projection, with
 per-lane hidden state that resets at session boundaries.
 
-PnnEncoder: per-field category embeddings (previous item is one more
-field), a product layer of all pairwise inner products next to the
-concatenated embeddings (one graph node, ``T.product_layer``, whose
-reference is the composed ops), then FC -> ReLU -> batch norm producing the
-context feature vector; a score projection on top is used only for
-pretraining and the standalone baseline.
+PnnEncoder: one embedding table for the one-hot context fields and the
+previous item, one more field (each field's rows at its offset, the items
+after them), a product layer of all pairwise inner products next to the
+field embeddings (one graph node, ``T.product_layer``, whose reference is
+the composed ops), then FC -> ReLU -> batch norm producing the context
+feature vector; a score projection on top is used only for pretraining and
+the standalone baseline.
 
 ArnnModel: both networks as frozen feature extractors (score heads
 unused), a trainable merge layer (FC -> ReLU -> batch norm) over the
@@ -38,9 +39,9 @@ import numpy as np
 
 from . import tensor as T
 from .data import FieldSchema
-from .errors import CheckpointError, SchemaError, VocabularyError
+from .errors import CheckpointError, DataError, SchemaError, VocabularyError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _check_items(items, n_items: int) -> np.ndarray:
@@ -181,6 +182,10 @@ class PnnEncoder:
         if not field_sizes:
             raise SchemaError("the context encoder needs at least one context field, "
                               "and the schema has none")
+        if list(field_offsets) != np.cumsum([0, *field_sizes[:-1]]).tolist():  # the row layout
+            raise SchemaError(f"field offsets {list(field_offsets)} are not the running "
+                              f"sums of the field sizes {list(field_sizes)}")
+        self.one_hot_length = sum(field_sizes)
         rng = rng or np.random.default_rng(0)
         self.field_sizes = list(field_sizes)
         self.field_offsets = list(field_offsets)
@@ -188,13 +193,9 @@ class PnnEncoder:
         self.embed_dim = embed_dim
         self.context_dim = context_dim
         e = embed_dim
-        self.field_embeddings = [
-            T.Parameter(T.glorot_uniform((size, e), rng), f"pnn/field{i}_embedding")
-            for i, size in enumerate(self.field_sizes)
-        ]
-        self.item_embedding = T.Parameter(
-            T.glorot_uniform((n_items, e), rng), "pnn/item_embedding"
-        )
+        self.embedding = T.Parameter(np.concatenate(
+            [T.glorot_uniform((size, e), rng) for size in [*self.field_sizes, n_items]]
+        ), "pnn/embedding")
         f = self.n_fields
         in_dim = f * e + f * (f - 1) // 2
         self.fc_weight = T.Parameter(T.glorot_uniform((in_dim, context_dim), rng),
@@ -217,8 +218,7 @@ class PnnEncoder:
         return len(self.field_sizes) + 1
 
     def parameters(self):
-        return (self.field_embeddings + [self.item_embedding, self.fc_weight,
-                self.fc_bias] + self.bn.parameters() +
+        return ([self.embedding, self.fc_weight, self.fc_bias] + self.bn.parameters() +
                 [self.score_weight, self.score_bias])
 
     def state_arrays(self):
@@ -233,26 +233,30 @@ class PnnEncoder:
             "context_dim": self.context_dim,
         }
 
-    def _split_contexts(self, contexts) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per field: flat local indices plus bag offsets over the batch.
+    def _split_contexts(self, contexts, prev_items):
+        """The product layer's table rows, their bags, and each bag's size.
 
-        Within a field, indices keep batch order and each context's own order.
+        The rows are the batch's context positions, row by row in context
+        order, then ``one_hot_length + prev_items``.  An entry's bag is
+        ``row * n_fields + field``, the item field last; ``counts[row, field]``
+        is that bag's size.
         """
-        n_fields = len(self.field_sizes)
-        n_rows = len(contexts)
+        prev_items = _check_items(prev_items, self.n_items)
+        n_ctx, n_fields, n_rows = len(self.field_sizes), self.n_fields, len(contexts)
         row_len = np.fromiter((len(ctx) for ctx in contexts), np.int64, n_rows)
         positions = np.fromiter(itertools.chain.from_iterable(contexts), np.int64,
                                 int(row_len.sum()))
-        bounds = self.field_offsets + [self.field_offsets[-1] + self.field_sizes[-1]]
-        fields = np.searchsorted(bounds, positions, side="right") - 1
+        fields = np.searchsorted(self.field_offsets + [self.one_hot_length], positions,
+                                 side="right") - 1
         rows = np.repeat(np.arange(n_rows), row_len)
-        outside = (fields < 0) | (fields >= n_fields)
-        counts = np.bincount(rows[~outside] * n_fields + fields[~outside],
+        outside = (fields < 0) | (fields >= n_ctx)
+        bags = rows * n_fields + fields
+        counts = np.bincount(bags[~outside],
                              minlength=n_rows * n_fields).reshape(n_rows, n_fields)
         # report the first offending context; within it a stray position
         # comes before an empty field
         bad_pos = np.flatnonzero(outside)
-        empty_rows = np.flatnonzero((counts == 0).any(axis=1))
+        empty_rows = np.flatnonzero((counts[:, :n_ctx] == 0).any(axis=1))
         if bad_pos.size and (not empty_rows.size or rows[bad_pos[0]] <= empty_rows[0]):
             raise SchemaError(
                 f"context position {positions[bad_pos[0]]} outside the one-hot layout"
@@ -260,12 +264,9 @@ class PnnEncoder:
         if empty_rows.size:
             f = int(np.flatnonzero(counts[empty_rows[0]] == 0)[0])
             raise SchemaError(f"field {f} has no active position and no fallback slot")
-        order = np.argsort(fields, kind="stable")
-        local = positions[order] - np.asarray(self.field_offsets, dtype=np.int64)[fields[order]]
-        per_field = np.split(local, np.cumsum(counts.sum(axis=0))[:-1])
-        zero = np.zeros((1, n_fields), dtype=np.int64)
-        offsets = np.concatenate([zero, np.cumsum(counts, axis=0)])
-        return [(per_field[f], offsets[:, f].copy()) for f in range(n_fields)]
+        counts[:, n_ctx] = 1
+        return (np.concatenate([positions, self.one_hot_length + prev_items]),
+                np.concatenate([bags, np.arange(n_rows) * n_fields + n_ctx]), counts)
 
     def features(self, contexts, prev_items) -> T.Tensor:
         """Pre-norm context features: FC -> ReLU over the field embeddings
@@ -274,9 +275,7 @@ class PnnEncoder:
         Multi-valued fields average their active category embeddings so each
         field contributes exactly one embedding to the product layer.
         """
-        prev_items = _check_items(prev_items, self.n_items)
-        x = T.product_layer(self.field_embeddings, self._split_contexts(contexts),
-                            self.item_embedding, prev_items)
+        x = T.product_layer(self.embedding, *self._split_contexts(contexts, prev_items))
         return T.relu(T.affine(x, self.fc_weight, self.fc_bias))
 
     def encode(self, contexts, prev_items, training: bool) -> T.Tensor:
@@ -477,7 +476,7 @@ def load_checkpoint(path, expected_schema_hash: str | None = None,
         raise CheckpointError(f"{path}: checkpoint is {kind!r}, expected {expected_kind!r}")
     try:
         model = KINDS[kind](**hp)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, DataError) as exc:
         raise CheckpointError(f"{path}: cannot build a {kind!r} model: {exc!r}") from exc
     _fill(model, stored, path)
     return model

@@ -13,10 +13,10 @@ Arrays are float64, so finite-difference checks have headroom.
 A Parameter allocates its dense gradient array on the first backward write
 or ``grad`` read, and an optimizer allocates its accumulator, so a model that
 only evaluates holds its values alone.  A Parameter records where backward
-wrote into its gradient: ``embedding`` marks the rows it gathered and
-``affine_columns`` the weight columns and bias entries it read, every other
-op marks the whole tensor.  An optimizer can then update only the touched
-slices.
+wrote into its gradient: ``embedding``, ``embedding_bag_mean`` and
+``product_layer`` mark the rows they gathered, ``affine_columns`` the weight
+columns and bias entries it read, every other op the whole tensor.  An
+optimizer can then update only the touched slices.
 
 ``product_layer`` is one node for PNN's chain of the other ops (field means,
 item gather, concat, ``pairwise_inner``), with their arithmetic in their
@@ -529,7 +529,7 @@ def embedding_bag_mean(table, flat_indices, offsets) -> Tensor:
     def bwd(g):
         if table._needs_grad:
             contrib = g[seg] / counts[seg][:, None]
-            np.add.at(_grad_buffer(table), flat, contrib)
+            np.add.at(_grad_buffer(table, 0, flat), flat, contrib)
 
     return _node(out, (table,), bwd, "embedding_bag_mean")
 
@@ -561,27 +561,21 @@ def pairwise_inner(fields) -> Tensor:
     return _node(out, tuple(ts), bwd, "pairwise_inner")
 
 
-def product_layer(field_tables, per_field, item_table, items) -> Tensor:
+def product_layer(table, indices, bags, counts) -> Tensor:
     """PNN input rows [fields | pairwise_inner(fields)] as one node.
 
-    Field f is ``embedding_bag_mean(field_tables[f], *per_field[f])`` and the
-    last field ``embedding(item_table, items)``; values, gradients and touched
-    marks are those ops' and ``concat``'s bit for bit.
+    Field f of row i is the mean of the ``counts[i, f]`` rows ``table[indices[k]]``
+    whose bag ``bags[k]`` is ``i * F + f``; values, gradients and touched marks
+    are bit for bit those of ``embedding_bag_mean`` per field, ``embedding``,
+    ``concat`` and ``pairwise_inner``.
     """
-    tables, item = [as_tensor(t) for t in field_tables], as_tensor(item_table)
-    flats = [np.asarray(flat, dtype=np.int64) for flat, _ in per_field]
-    items = np.asarray(items, dtype=np.int64)
-    counts = np.diff(np.stack([offs for _, offs in per_field], axis=1), axis=0)  # [n, F-1]
-    (n, n_bags), e = counts.shape, item.data.shape[1]
-    f_count = n_bags + 1
-    # each gathered row's (row, field) bag, field by field like the gather
-    bag = np.repeat(np.arange(n * n_bags).reshape(n, n_bags).T.ravel(), counts.T.ravel())
+    table = as_tensor(table)
+    idx, bags, counts = (np.asarray(a, dtype=np.int64) for a in (indices, bags, counts))
+    (n, f_count), e = counts.shape, table.data.shape[1]
     # bincount adds each slot's entries in order onto 0.0, as np.add.at does
-    gathered = np.concatenate([t.data[i] for t, i in zip(tables, flats)])
-    sums = np.bincount((bag[:, None] * e + np.arange(e)).ravel(), gathered.ravel(), n * n_bags * e)
-    stacked = np.empty((n, f_count, e))  # [B,F,E]
-    np.divide(sums.reshape(n, n_bags, e), counts[:, :, None], out=stacked[:, :n_bags])
-    stacked[:, n_bags] = item.data[items]
+    sums = np.bincount((bags[:, None] * e + np.arange(e)).ravel(), table.data[idx].ravel(),
+                       n * f_count * e)
+    stacked = sums.reshape(n, f_count, e) / counts[:, :, None]  # [B,F,E]
     gram = np.einsum("bfe,bge->bfg", stacked, stacked)
     iu, ju = np.triu_indices(f_count, k=1)
     out = np.concatenate([stacked.reshape(n, -1), gram[:, iu, ju]], axis=1)
@@ -590,13 +584,10 @@ def product_layer(field_tables, per_field, item_table, items) -> Tensor:
         w = np.zeros((n, f_count, f_count))
         w[:, iu, ju] = w[:, ju, iu] = g[:, f_count * e:]
         gx = g[:, :f_count * e].reshape(n, f_count, e) + np.einsum("bfg,bge->bfe", w, stacked)
-        contrib = gx[:, :n_bags].reshape(-1, e)[bag] / counts.reshape(-1)[bag][:, None]
-        pieces = np.split(contrib, np.cumsum([len(i) for i in flats])[:-1])
-        for t, i, piece in zip(tables, flats, pieces):
-            np.add.at(_grad_buffer(t), i, piece)
-        np.add.at(_grad_buffer(item, 0, items), items, gx[:, n_bags])
+        contrib = gx.reshape(-1, e)[bags] / counts.reshape(-1)[bags][:, None]
+        np.add.at(_grad_buffer(table, 0, idx), idx, contrib)
 
-    return _node(out, (*tables, item), bwd, "product_layer")
+    return _node(out, (table,), bwd, "product_layer")
 
 
 def take_rc(x, rows, cols) -> Tensor:

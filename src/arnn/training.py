@@ -11,7 +11,7 @@ Every stage scores only the batch's distinct target items: TOP1 reads
 nothing else, so the logits are [rows, distinct targets] instead of
 [rows, items], and ``top1_batch_loss`` takes them with each row's position
 among those columns.  Backward then writes only those columns of the output
-table and bias (and the gathered rows of the item embeddings), and Adagrad
+table and bias (and the gathered rows of the embedding tables), and Adagrad
 updates only what backward wrote, plus one dense weight-decay pass when the
 decay is nonzero.  Validation and evaluation still score every item.
 

@@ -73,13 +73,8 @@ KINK_MARGIN = 1e-3  # finite differences are invalid when a relu input is ~0
 
 
 def _pnn_relu_margin(pnn, contexts, prev) -> float:
-    per_field = pnn._split_contexts(contexts)
-    embeds = [T.embedding_bag_mean(t, f, o)
-              for t, (f, o) in zip(pnn.field_embeddings, per_field)]
-    embeds.append(T.embedding(pnn.item_embedding, prev))
-    pre = T.affine(T.concat([T.concat(embeds, axis=1),
-                             T.pairwise_inner(embeds)], axis=1),
-                   pnn.fc_weight, pnn.fc_bias).data
+    x = T.product_layer(pnn.embedding, *pnn._split_contexts(contexts, prev))
+    pre = T.affine(x, pnn.fc_weight, pnn.fc_bias).data
     return float(np.min(np.abs(pre)))
 
 
@@ -110,8 +105,7 @@ def _check_pnn_instance(seed):
         def loss():
             return _weighted_sum(pnn.encode(contexts, prev, training=True), weights)
 
-        params = pnn.field_embeddings + [pnn.item_embedding, pnn.fc_weight,
-                                         pnn.fc_bias, pnn.bn.gamma, pnn.bn.beta]
+        params = [pnn.embedding, pnn.fc_weight, pnn.fc_bias, pnn.bn.gamma, pnn.bn.beta]
         assert_param_grads_match(loss, params, rel=1e-4)
         return True
 

@@ -589,3 +589,74 @@ def test_synth_default_fields_output_is_unchanged(tmp_path):
                for name in ("events.tsv", "truth.json")}
     assert digests == {"events.tsv": "2773409bae3957754c1853395dd19954",
                        "truth.json": "6eff9210301e5387cdb6b7b48e2e8490"}
+
+
+def _edit_meta(src, dst, edit):
+    """Copy checkpoint `src` to `dst` with `edit(meta)` applied to its meta."""
+    stored = dict(np.load(src))
+    meta = json.loads(bytes(stored["meta"]))
+    edit(meta)
+    stored["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(dst, **stored)
+
+
+@pytest.mark.parametrize("system, name, key, change, message", [
+    ("pnn", "pnn.npz", "field_offsets", [0, 7, 10, 15, 20, 25], "not the running sums"),
+    ("arnn", "merge.npz", "field_offsets", [0, 7, 10, 15, 20, 25], "not the running sums"),
+    ("arnn", "merge.npz", "n_items", 61, "vocabulary mismatch"),
+])
+def test_inconsistent_pnn_meta_exits_3_naming_the_file(synth_dir, tmp_path, capsys,
+                                                       system, name, key, change, message):
+    def spoil(meta):
+        hp = meta["hyperparameters"]
+        (hp["pnn"] if system == "arnn" else hp)[key] = change
+
+    bad = tmp_path / name
+    _edit_meta(synth_dir["ckpt"] / name, bad, spoil)
+    assert main(["evaluate", "--data", str(synth_dir["data"] / "test.json"),
+                 "--checkpoints", str(tmp_path), "--systems", system]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err, f"data error: {bad}: cannot build a '{system}' model")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("name", ["pnn.npz", "merge.npz"])
+def test_format_1_checkpoint_exits_3(synth_dir, tmp_path, capsys, name):
+    bad = tmp_path / name
+    _edit_meta(synth_dir["ckpt"] / name, bad, lambda meta: meta.update(format_version=1))
+    data = str(synth_dir["data"] / "train.json")
+    assert main(["recommend", "--checkpoint", str(bad), "--data", data,
+                 "--items", read_schema(data).item_vocabulary[0]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err, f"data error: {bad}: unsupported format 1")
+
+
+@pytest.mark.parametrize("stage", ["gru", "pnn"])
+def test_train_on_a_context_with_an_empty_field_exits_3(synth_dir, tmp_path, capsys, stage):
+    doc = json.loads((synth_dir["data"] / "train.json").read_text())
+    sizes = [len(cats) for _, cats in doc["schema"]["fields"]]
+    lo, hi = sizes[0], sizes[0] + sizes[1]  # field 1's positions
+    step = doc["sessions"][3]["steps"][1]
+    step[0] = [p for p in step[0] if not lo <= p < hi]
+    bad = tmp_path / "train.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "ckpt"
+    assert main(["train", "--stage", stage, "--data", str(bad), "--out", str(out),
+                 "--epochs", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err, f"data error: {bad}: session 3: field 1 ('f1')")
+    assert not out.exists()
+
+
+def test_recommend_repeated_attribute_field_exits_2(synth_dir, capsys):
+    data = str(synth_dir["data"] / "train.json")
+    code = main(["recommend", "--checkpoint", str(synth_dir["ckpt"] / "pnn.npz"),
+                 "--data", data, "--items", read_schema(data).item_vocabulary[0],
+                 "--attrs", "f0=cat0;f0=cat3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err, "configuration error: field 'f0' given twice")

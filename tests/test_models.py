@@ -203,24 +203,57 @@ def test_pnn_multivalued_field_averages_embeddings():
     pnn = small_pnn(field_sizes=(4,), embed=3)
     ctx = [(1, 3)]  # two active categories in the single field
     c1 = pnn.encode(ctx, [0], training=False).data
-    # averaging by hand: replace the field table rows so mean is explicit
-    table = pnn.field_embeddings[0].value
+    # averaging by hand: the field's rows 1 and 3, then item 0 at row 4
+    table = pnn.embedding.value
     mean_row = (table[1] + table[3]) / 2.0
-    linear = np.concatenate([mean_row, pnn.item_embedding.value[0]])
-    prod = np.dot(mean_row, pnn.item_embedding.value[0])
+    linear = np.concatenate([mean_row, table[4]])
+    prod = np.dot(mean_row, table[4])
     pre = np.concatenate([linear, [prod]])[None, :]
     h = np.maximum(pre @ pnn.fc_weight.value + pnn.fc_bias.value, 0.0)
     expected = (h - pnn.bn.running_mean) / np.sqrt(pnn.bn.running_var + 1e-5)
     assert_allclose(c1, expected, atol=1e-12)
 
 
+def _composed_embeds(pnn, contexts, prev):
+    """Each field's embedding: a bag mean over its row block of the one table,
+    then the gathered item rows."""
+    indices, bags, counts = split_contexts_reference(pnn, contexts, prev)
+    f_count = pnn.n_fields
+    embeds = [T.embedding_bag_mean(pnn.embedding,
+                                   [i for i, b in zip(indices, bags) if b % f_count == f],
+                                   np.concatenate([[0], np.cumsum(counts[:, f])]))
+              for f in range(f_count - 1)]
+    embeds.append(T.embedding(pnn.embedding, pnn.one_hot_length + np.asarray(prev)))
+    return embeds
+
+
 def _composed_features(pnn, contexts, prev):
     """Pre-norm features from the composed ops: the product-layer node's reference."""
-    embeds = [T.embedding_bag_mean(table, flat, offs) for table, (flat, offs)
-              in zip(pnn.field_embeddings, pnn._split_contexts(contexts))]
-    embeds.append(T.embedding(pnn.item_embedding, prev))
+    embeds = _composed_embeds(pnn, contexts, prev)
     x = T.concat([T.concat(embeds, axis=1), T.pairwise_inner(embeds)], axis=1)
     return T.relu(T.affine(x, pnn.fc_weight, pnn.fc_bias))
+
+
+def test_pnn_embedding_is_the_per_field_draws_then_the_items():
+    sizes, n_items, e, seed = [3, 1, 4], 5, 2, 13
+    pnn = PnnEncoder(sizes, [0, 3, 4], n_items, e, 6, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    blocks = [T.glorot_uniform((size, e), rng) for size in [*sizes, n_items]]
+    assert pnn.parameters()[0] is pnn.embedding
+    assert pnn.embedding.name == "pnn/embedding"
+    assert pnn.embedding.value.shape == (8 + n_items, e)
+    starts = [0, 3, 4, 8, 8 + n_items]
+    for block, lo, hi in zip(blocks, starts, starts[1:]):
+        assert pnn.embedding.value[lo:hi].tobytes() == block.tobytes()
+    # the next draw is the FC weight's, as when each block was its own table
+    in_dim = 4 * e + 6
+    assert pnn.fc_weight.value.tobytes() == T.glorot_uniform((in_dim, 6), rng).tobytes()
+
+
+@pytest.mark.parametrize("offsets", [[0, 7, 10], [0, 3], [1, 3, 5], [0, 2, 5]])
+def test_pnn_rejects_offsets_that_are_not_running_sums(offsets):
+    with pytest.raises(SchemaError, match="not the running sums"):
+        PnnEncoder([3, 2, 4], offsets, 5, 2, 4)
 
 
 def test_product_layer_node_is_the_composed_ops_bit_for_bit():
@@ -241,7 +274,7 @@ def test_product_layer_node_is_the_composed_ops_bit_for_bit():
         assert out.data.tobytes() == reference.data.tobytes()
         T.backward(T.sum_all(T.mul(out, weights)))
         T.backward(T.sum_all(T.mul(reference, weights)))
-        assert fused.item_embedding.touched() is not ...  # the gathered rows only
+        assert fused.embedding.touched() is not ...  # the gathered rows only
         for p, q in zip(fused.parameters(), composed.parameters()):
             assert str(p.touched()) == str(q.touched()), p.name
             assert p.grad.tobytes() == q.grad.tobytes(), p.name
@@ -266,19 +299,11 @@ def test_pnn_pairwise_products_symmetric_under_field_swap():
     prev = [1]
 
     def products():
-        per_field = pnn._split_contexts(ctx)
-        embeds = [
-            T.embedding_bag_mean(tab, flat, offs)
-            for tab, (flat, offs) in zip(pnn.field_embeddings, per_field)
-        ]
-        embeds.append(T.embedding(pnn.item_embedding, prev))
-        return T.pairwise_inner(embeds).data.ravel()
+        return T.pairwise_inner(_composed_embeds(pnn, ctx, prev)).data.ravel()
 
     before = products()
-    a, b = pnn.field_embeddings
-    a_vals, b_vals = a.value.copy(), b.value.copy()
-    a.value[...] = b_vals
-    b.value[...] = a_vals
+    table = pnn.embedding.value
+    table[:6] = np.concatenate([table[3:6], table[:3]])  # swap the two field blocks
     after = products()
     assert_allclose(np.sort(before), np.sort(after), atol=1e-12)
 
@@ -295,21 +320,23 @@ def test_pnn_negative_item_rejected():
         pnn.encode([(0, 3), (1, 4)], [0, -1], training=False)
 
 
-def split_contexts_reference(pnn, contexts):
-    """One position at a time: field by bisection, appended in batch order."""
-    n_fields = len(pnn.field_sizes)
-    flat = [[] for _ in range(n_fields)]
-    offsets = [[0] for _ in range(n_fields)]
-    for ctx in contexts:
-        counts = [0] * n_fields
+def split_contexts_reference(pnn, contexts, prev):
+    """One position at a time: table row and (row, field) bag, in batch order,
+    then each row's item entry."""
+    n_fields = pnn.n_fields
+    indices, bags = [], []
+    counts = np.zeros((len(contexts), n_fields), dtype=np.int64)
+    for row, ctx in enumerate(contexts):
         for p in ctx:
-            f = max(f for f in range(n_fields) if pnn.field_offsets[f] <= p)
-            flat[f].append(p - pnn.field_offsets[f])
-            counts[f] += 1
-        for f in range(n_fields):
-            offsets[f].append(offsets[f][-1] + counts[f])
-    return [(np.array(flat[f], dtype=np.int64), np.array(offsets[f], dtype=np.int64))
-            for f in range(n_fields)]
+            f = max(f for f in range(n_fields - 1) if pnn.field_offsets[f] <= p)
+            indices.append(p)
+            bags.append(row * n_fields + f)
+            counts[row, f] += 1
+    for row, item in enumerate(prev):
+        indices.append(pnn.one_hot_length + item)
+        bags.append(row * n_fields + n_fields - 1)
+        counts[row, n_fields - 1] += 1
+    return indices, bags, counts
 
 
 def test_split_contexts_matches_reference_loop():
@@ -325,13 +352,13 @@ def test_split_contexts_matches_reference_loop():
                 ctx.extend(int(off + i) for i in rng.choice(size, k, replace=False))
             rng.shuffle(ctx)  # positions need not be grouped by field
             contexts.append(tuple(ctx))
-        got = pnn._split_contexts(contexts)
-        want = split_contexts_reference(pnn, contexts)
-        assert len(got) == len(want)
-        for (flat, offs), (ref_flat, ref_offs) in zip(got, want):
-            assert flat.dtype == offs.dtype == np.int64
-            assert flat.tolist() == ref_flat.tolist()
-            assert offs.tolist() == ref_offs.tolist()
+        prev = rng.integers(0, pnn.n_items, size=len(contexts)).tolist()
+        got = pnn._split_contexts(contexts, prev)
+        want = split_contexts_reference(pnn, contexts, prev)
+        assert all(a.dtype == np.int64 for a in got)
+        assert got[0].tolist() == want[0]
+        assert got[1].tolist() == want[1]
+        assert got[2].tolist() == want[2].tolist()
 
 
 @pytest.mark.parametrize("contexts, message", [
@@ -344,7 +371,7 @@ def test_split_contexts_matches_reference_loop():
 def test_split_contexts_errors(contexts, message):
     pnn = small_pnn(field_sizes=(3, 2))
     with pytest.raises(SchemaError, match=message):
-        pnn._split_contexts(contexts)
+        pnn._split_contexts(contexts, [0] * len(contexts))
 
 
 # ---------------------------------------------------------------------------

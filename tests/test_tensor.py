@@ -95,6 +95,15 @@ def test_touched_records_embedding_rows():
     assert table.touched()[0].size == 0
 
 
+def test_touched_records_embedding_bag_rows():
+    table = T.Parameter(np.ones((6, 2)), "emb")  # the module RNG stays where it was
+    T.backward(T.sum_all(T.embedding_bag_mean(table, [5, 1, 5, 3], [0, 1, 4])))
+    where, g = table.touched_grad()
+    assert_array_equal(where[0], [1, 3, 5])
+    assert_allclose(g, [[1 / 3] * 2, [1 / 3] * 2, [4 / 3] * 2])  # row 5 is in both bags
+    assert not table.grad[[0, 2, 4]].any()
+
+
 def test_grad_read_before_backward_is_zeros_and_a_whole_write():
     table = T.Parameter(RNG.normal(size=(4, 3)), "emb")
     assert table.touched()[0].size == 0
