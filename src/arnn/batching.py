@@ -1,11 +1,12 @@
 """Session-parallel mini-batches with in-batch negative items.
 
-Each of B lanes walks one session a step at a time; a batch pairs every
-active lane's previous item with its next item, one row per active lane in
-ascending lane order, and ``lanes`` names each row's lane (the recurrent
-model's per-lane state).  When a lane's session runs out it loads the next
-unstarted session, whose first row sets the boundary flag so the recurrent
-state gets reset, and the lane drops out of the batches once none remain.
+Each of B lanes walks one session's items a step at a time; a batch pairs
+every active lane's previous item with its next item and its session's
+context, one row per active lane in ascending lane order, and ``lanes``
+names each row's lane (the recurrent model's per-lane state).  When a
+lane's session runs out it loads the next unstarted session, whose first
+row sets the boundary flag so the recurrent state gets reset, and the lane
+drops out of the batches once none remain.
 The other rows' target items double as the negative samples, minus any that
 collide with a row's own target.
 """
@@ -24,7 +25,7 @@ from .errors import ConfigError
 class MiniBatch:
     prev_items: np.ndarray        # int [n]
     target_items: np.ndarray      # int [n]
-    contexts: list                # sparse position tuple per row
+    contexts: list                # position tuple per row: its session's context
     session_boundary: np.ndarray  # bool [n]; True = the row starts a session
     lanes: np.ndarray             # int [n]; each row's lane, ascending
 
@@ -73,14 +74,13 @@ class SessionParallelIterator:
             raise StopIteration
         prev, target, contexts, boundary = [], [], [], []
         for lane in lanes:
-            steps = self.dataset.sessions[self._lane_session[lane]].steps
-            pos = self._lane_pos[lane]
-            ctx, prev_item = steps[pos]
-            prev.append(prev_item)
-            target.append(steps[pos + 1][1])
-            contexts.append(ctx)
+            session = self.dataset.sessions[self._lane_session[lane]]
+            items, pos = session.items, self._lane_pos[lane]
+            prev.append(items[pos])
+            target.append(items[pos + 1])
+            contexts.append(session.context)
             boundary.append(pos == 0)
-            if pos + 2 >= len(steps):
+            if pos + 2 >= len(items):
                 self._load_next(lane)
             else:
                 self._lane_pos[lane] = pos + 1

@@ -9,7 +9,7 @@ time-based train/test split.
 Boundary rules fixed here: a gap strictly greater than the threshold starts
 a new session (a gap equal to the threshold does not); popularity ties
 break by first-seen order; a user's context is taken from the session's
-first event and held constant for the whole session.
+first event, held constant for the whole session and stored once per session.
 """
 
 from __future__ import annotations
@@ -114,12 +114,11 @@ class FieldSchema:
         """Inverse of encode: positions back to per-field category lists."""
         out: dict[str, list[str]] = {name: [] for name, _ in self.fields}
         for p in positions:
+            if not 0 <= p < self.one_hot_length:
+                raise SchemaError(f"position {p} outside the one-hot layout")
             f = bisect.bisect_right(self.offsets, p) - 1
             name, cats = self.fields[f]
-            local = p - self.offsets[f]
-            if local >= len(cats):
-                raise SchemaError(f"position {p} outside the one-hot layout")
-            out[name].append(cats[local])
+            out[name].append(cats[p - self.offsets[f]])
         return out
 
     def to_dict(self) -> dict:
@@ -139,10 +138,17 @@ class FieldSchema:
 
 @dataclass
 class Session:
-    """Encoded session: (active context positions, item index) per step."""
+    """Encoded session: the active context positions every step shares, and
+    the item index of each step."""
 
-    steps: list[tuple[tuple[int, ...], int]]
+    context: tuple[int, ...]
+    items: list[int]
     start_time: int
+
+    @property
+    def steps(self) -> list[tuple[tuple[int, ...], int]]:
+        """(context, item) per step, for the benchmark's checks in `perfbench/`."""
+        return [(self.context, i) for i in self.items]
 
 
 @dataclass
@@ -153,20 +159,20 @@ class SessionDataset:
     def __post_init__(self):
         n_items = len(self.schema.item_vocabulary)
         for s in self.sessions:
-            if len(s.steps) < 2:
+            if len(s.items) < 2:
                 raise DataError("sessions must have at least 2 steps")
-            for _, item in s.steps:
+            for item in s.items:
                 if not 0 <= item < n_items:
                     raise DataError(f"item index {item} outside vocabulary of {n_items}")
 
     def item_set(self) -> set[int]:
-        return {item for s in self.sessions for _, item in s.steps}
+        return {item for s in self.sessions for item in s.items}
 
     def save(self, path) -> None:
         doc = {
             "schema": self.schema.to_dict(),
             "sessions": [
-                {"start": s.start_time, "steps": [[list(ctx), item] for ctx, item in s.steps]}
+                {"start": s.start_time, "context": list(s.context), "items": s.items}
                 for s in self.sessions
             ],
         }
@@ -177,39 +183,31 @@ class SessionDataset:
     def load(cls, path) -> "SessionDataset":
         """Read a saved dataset; each context has a position in every field and none outside.
 
-        A session that is not an object with an integer ``start`` and a
-        ``steps`` list, or a step that is not a [positions, item] pair of
-        integers, raises DataError naming the session.
+        A session that is not an object with an integer ``start``, a
+        ``context`` list of integer positions and an ``items`` list of
+        integer indices raises DataError naming the session.
         """
         schema, raw_sessions = _read_dataset(path)
         width, n_fields = schema.one_hot_length, len(schema.fields)
-        good, sessions = set(), []  # contexts checked already: a session repeats its own
+        sessions = []
         for n, s in enumerate(raw_sessions):
             # `type(v) is int`: a JSON bool or float is not an index
             if not (isinstance(s, dict) and type(s.get("start")) is int
-                    and isinstance(s.get("steps"), list)):
-                raise DataError(f"{path}: session {n}: not an object with an integer "
-                                f"'start' and a 'steps' list")
-            steps = []
-            for step in s["steps"]:
-                if not (isinstance(step, list) and len(step) == 2 and isinstance(step[0], list)
-                        and all(type(p) is int for p in step[0]) and type(step[1]) is int):
-                    raise DataError(f"{path}: session {n}: step {step!r} is not a "
-                                    f"[positions, item] pair of integers")
-                ctx = tuple(step[0])
-                if ctx not in good:
-                    outside = [p for p in ctx if not 0 <= p < width]
-                    if outside:
-                        raise SchemaError(f"{path}: context position {outside[0]} outside "
-                                          f"the one-hot layout of length {width}")
-                    empty = set(range(n_fields)).difference(
-                        bisect.bisect_right(schema.offsets, p) - 1 for p in ctx)
-                    if empty:
-                        raise SchemaError(f"{path}: session {n}: field {min(empty)} "
-                                          f"({schema.fields[min(empty)][0]!r}) has no position")
-                    good.add(ctx)
-                steps.append((ctx, step[1]))
-            sessions.append(Session(steps=steps, start_time=s["start"]))
+                    and isinstance(s.get("context"), list) and isinstance(s.get("items"), list)
+                    and all(type(v) is int for v in s["context"] + s["items"])):
+                raise DataError(f"{path}: session {n}: not an object with an integer 'start' "
+                                f"and 'context' and 'items' lists of integers")
+            ctx = tuple(s["context"])
+            outside = [p for p in ctx if not 0 <= p < width]
+            if outside:
+                raise SchemaError(f"{path}: context position {outside[0]} outside "
+                                  f"the one-hot layout of length {width}")
+            empty = set(range(n_fields)).difference(
+                bisect.bisect_right(schema.offsets, p) - 1 for p in ctx)
+            if empty:
+                raise SchemaError(f"{path}: session {n}: field {min(empty)} "
+                                  f"({schema.fields[min(empty)][0]!r}) has no position")
+            sessions.append(Session(ctx, s["items"], s["start"]))
         return cls(sessions=sessions, schema=schema)
 
 
@@ -427,12 +425,9 @@ def build_schema(events: list[RawEvent], field_names: list[str],
 
 def encode_sessions(event_sessions: list[list[RawEvent]], schema: FieldSchema) -> list[Session]:
     """Encode raw-event sessions; the first event's context covers all steps."""
-    out = []
-    for run in event_sessions:
-        ctx = schema.encode(run[0].attributes)
-        steps = [(ctx, schema.item_index(e.item_id)) for e in run]
-        out.append(Session(steps=steps, start_time=run[0].timestamp))
-    return out
+    return [Session(schema.encode(run[0].attributes),
+                    [schema.item_index(e.item_id) for e in run], run[0].timestamp)
+            for run in event_sessions]
 
 
 def split_train_test(sessions: list[Session], schema: FieldSchema,
@@ -452,12 +447,12 @@ def split_train_test(sessions: list[Session], schema: FieldSchema,
         raise SplitError(
             f"degenerate split: {len(train_sessions)} train / {len(test_sessions)} test sessions"
         )
-    train_items = {item for s in train_sessions for _, item in s.steps}
+    train_items = {item for s in train_sessions for item in s.items}
     filtered_test = []
     for s in test_sessions:
-        steps = [(ctx, item) for ctx, item in s.steps if item in train_items]
-        if len(steps) >= 2:
-            filtered_test.append(Session(steps=steps, start_time=s.start_time))
+        items = [item for item in s.items if item in train_items]
+        if len(items) >= 2:
+            filtered_test.append(Session(s.context, items, s.start_time))
     if not filtered_test:
         raise SplitError(
             f"no test sessions survive the cold-item filter "

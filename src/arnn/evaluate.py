@@ -155,8 +155,8 @@ def build_itemknn(train: SessionDataset, lam: float = 20.0, top_m: int = 100
         raise EvaluationError("cannot build an item index from an empty dataset")
     n_items = len(train.schema.item_vocabulary)
     # each session's distinct items, sorted by session, then item
-    session = np.repeat(np.arange(len(train.sessions)), [len(s.steps) for s in train.sessions])
-    step_item = [item for s in train.sessions for _, item in s.steps]
+    session = np.repeat(np.arange(len(train.sessions)), [len(s.items) for s in train.sessions])
+    step_item = [item for s in train.sessions for item in s.items]
     session, item = np.divmod(np.unique(session * n_items + step_item), n_items)
     root = np.sqrt(np.bincount(item, minlength=n_items))
     # pair each entry with every entry of its own session, itself included

@@ -41,7 +41,7 @@ from . import tensor as T
 from .data import FieldSchema
 from .errors import CheckpointError, DataError, SchemaError, VocabularyError
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _check_items(items, n_items: int) -> np.ndarray:
@@ -176,19 +176,15 @@ class PnnEncoder:
 
     kind = "pnn"
 
-    def __init__(self, field_sizes: list[int], field_offsets: list[int],
-                 n_items: int, embed_dim: int, context_dim: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, field_sizes: list[int], n_items: int, embed_dim: int,
+                 context_dim: int, rng: np.random.Generator | None = None):
         if not field_sizes:
             raise SchemaError("the context encoder needs at least one context field, "
                               "and the schema has none")
-        if list(field_offsets) != np.cumsum([0, *field_sizes[:-1]]).tolist():  # the row layout
-            raise SchemaError(f"field offsets {list(field_offsets)} are not the running "
-                              f"sums of the field sizes {list(field_sizes)}")
         self.one_hot_length = sum(field_sizes)
         rng = rng or np.random.default_rng(0)
         self.field_sizes = list(field_sizes)
-        self.field_offsets = list(field_offsets)
+        self.field_offsets = np.cumsum([0, *field_sizes[:-1]]).tolist()
         self.n_items = n_items
         self.embed_dim = embed_dim
         self.context_dim = context_dim
@@ -209,8 +205,7 @@ class PnnEncoder:
     @classmethod
     def from_schema(cls, schema: FieldSchema, embed_dim: int, context_dim: int,
                     rng: np.random.Generator | None = None) -> "PnnEncoder":
-        return cls(schema.field_sizes, schema.offsets, len(schema.item_vocabulary),
-                   embed_dim, context_dim, rng)
+        return cls(schema.field_sizes, len(schema.item_vocabulary), embed_dim, context_dim, rng)
 
     @property
     def n_fields(self) -> int:
@@ -227,7 +222,6 @@ class PnnEncoder:
     def hyperparameters(self):
         return {
             "field_sizes": self.field_sizes,
-            "field_offsets": self.field_offsets,
             "n_items": self.n_items,
             "embed_dim": self.embed_dim,
             "context_dim": self.context_dim,

@@ -89,7 +89,7 @@ def _with_kink_free_instance(seed, build_and_check):
 def _check_pnn_instance(seed):
     def attempt(s):
         rng = np.random.default_rng(s)
-        pnn = PnnEncoder([3, 2, 4], [0, 3, 5], n_items=5, embed_dim=3,
+        pnn = PnnEncoder([3, 2, 4], n_items=5, embed_dim=3,
                          context_dim=5, rng=rng)  # 3 context fields + item
         b = int(rng.integers(2, 4))
         contexts = [
@@ -125,7 +125,7 @@ def _arnn_relu_margin(model, contexts, prev, bounds, b) -> float:
 def _arnn_instance(s):
     """Seeded merge network and its loss closure, or None near a relu kink."""
     rng = np.random.default_rng(s)
-    pnn = PnnEncoder([3, 2], [0, 3], n_items=5, embed_dim=3, context_dim=4,
+    pnn = PnnEncoder([3, 2], n_items=5, embed_dim=3, context_dim=4,
                      rng=rng)
     gru = GruSessionModel(5, 3, rng=rng)
     model = ArnnModel(pnn, gru, merge_dim=4, rng=rng)
@@ -331,12 +331,12 @@ def test_criterion_6_itemknn_oracle():
         sessions = []
         for s in range(n_sessions):
             items = rng.integers(0, n_items, size=int(rng.integers(2, 7)))
-            sessions.append(Session([((0,), int(i)) for i in items], start_time=s))
+            sessions.append(Session((0,), [int(i) for i in items], start_time=s))
         ds = SessionDataset(sessions, schema)
         index = build_itemknn(ds, lam=0.0, top_m=n_items)
         incidence = np.zeros((n_sessions, n_items))
         for row, sess in enumerate(ds.sessions):
-            for _, item in sess.steps:
+            for item in sess.items:
                 incidence[row, item] = 1.0
         norms = np.sqrt(incidence.sum(axis=0))
         brute = np.zeros((n_items, n_items))
@@ -422,7 +422,7 @@ def _cold_items_removed(data):
     for s in range(n):
         start = data.draw(st.integers(0, 29)) * day + s
         items = data.draw(st.lists(st.integers(0, 7), min_size=2, max_size=5))
-        sessions.append(Session([((0,), i) for i in items], start_time=start))
+        sessions.append(Session((0,), items, start_time=start))
     try:
         train, test = split_train_test(sessions, schema, 3 * day)
     except SplitError:

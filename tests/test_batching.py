@@ -9,7 +9,7 @@ from arnn.errors import ConfigError
 def make_dataset(item_lists, n_items=10):
     schema = FieldSchema([("a", ["x", "unknown"])], [f"i{k}" for k in range(n_items)])
     sessions = [
-        Session(steps=[((0,), i) for i in items], start_time=k)
+        Session((0,), items, start_time=k)
         for k, items in enumerate(item_lists)
     ]
     return SessionDataset(sessions, schema)
@@ -130,8 +130,8 @@ def test_fixed_order_gives_identical_streams():
 
 def test_contexts_follow_the_previous_step():
     schema = FieldSchema([("a", ["x", "y", "unknown"])], ["i0", "i1", "i2"])
-    sessions = [Session(steps=[((0,), 0), ((0,), 1), ((0,), 2)], start_time=0),
-                Session(steps=[((1,), 2), ((1,), 0)], start_time=1)]
+    sessions = [Session((0,), [0, 1, 2], start_time=0),
+                Session((1,), [2, 0], start_time=1)]
     ds = SessionDataset(sessions, schema)
     batches = list(SessionParallelIterator(ds, 2))
     assert batches[0].contexts == [(0,), (1,)]

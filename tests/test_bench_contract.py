@@ -3,12 +3,14 @@
 The traced run swaps each `(owner, attribute)` of `spans.TARGETS` by looking
 it up in `owner.__dict__` and divides the ranking time by the count of
 `evaluate.rank_of` spans, the recommend calls go through `cli.main`, and
-every run checks the item-KNN table against `checks.itemknn_rows` and each
-system's evaluation report against `checks.replay_ranks`.  A refactor that
-breaks any of these would only show when the benchmark runs.
+every run checks the ingested sessions against `checks.transitions` and
+`checks.test_subset`, the item-KNN table against `checks.itemknn_rows` and
+each system's evaluation report against `checks.replay_ranks`.  A refactor
+that breaks any of these would only show when the benchmark runs.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -49,9 +51,8 @@ def test_traced_targets_are_in_their_owners_dict(perfbench):
 def test_bench_recommend_argv_parses(perfbench, monkeypatch, tmp_path):
     spans, workloads = perfbench("spans"), perfbench("workloads")
     schema = FieldSchema([("f0", ["a", "b"]), ("f1", ["c", "d"])], ["i0", "i1", "i2"])
-    steps = [((0, 3), 2), ((0, 3), 0), ((0, 3), 1)]
     r = workloads.Round(train=SessionDataset([], schema),
-                        test=SessionDataset([Session(steps, 0)], schema))
+                        test=SessionDataset([Session((0, 3), [2, 0, 1], 0)], schema))
     paths = workloads.Paths(str(tmp_path))
     seen = []
     monkeypatch.setattr(cli, "main", lambda argv: seen.append(argv) or 0)
@@ -72,6 +73,12 @@ def test_itemknn_table_passes_the_bench_check(perfbench, monkeypatch, tmp_path, 
     workloads.set_up(w, 1, paths)
     r = workloads.Round()
     workloads._ingest(r, w, paths)
+    truth = json.loads(Path(paths.truth).read_text())
+    vocab = r.train.schema.item_vocabulary
+    cold = set(vocab) - {vocab[i] for i in r.train.item_set()}
+    assert checks.transitions(r.train, truth, set(), "train") == []
+    assert checks.transitions(r.test, truth, cold, "test") == []
+    assert checks.test_subset(r.train, r.test) == []
     assert checks.itemknn_rows(build_itemknn(r.train), r.train, 1) == []
     # no row of either training split has more than the default 100
     # neighbours, so a smaller top_m makes the cut act
@@ -85,7 +92,7 @@ def _toy_systems():
     schema = FieldSchema([("f", ["c0", "c1", "unknown"])], [f"i{k}" for k in range(10)])
     item_lists = [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 0, 1], [2, 3], [5, 9, 1],
                   [6, 6, 2, 8], [3, 0]]
-    ds = SessionDataset([Session([((k % 2,), i) for i in items], start_time=k)
+    ds = SessionDataset([Session((k % 2,), items, start_time=k)
                          for k, items in enumerate(item_lists)], schema)
 
     def gru():
@@ -116,7 +123,7 @@ def test_replay_ranks_are_the_ranks_evaluation_counts(perfbench, monkeypatch, ki
     report = evaluate_system(systems[kind], ds, k=3, lanes=3)
     ranks = checks.replay_ranks(systems[kind], ds)
     assert sorted(ranks.tolist()) == sorted(counted)
-    assert len(counted) == report.n_recs == sum(len(s.steps) - 1 for s in ds.sessions)
+    assert len(counted) == report.n_recs == sum(len(s.items) - 1 for s in ds.sessions)
     assert checks.report_matches(kind, report, ranks, ds) == []
 
 

@@ -239,7 +239,7 @@ def test_unreadable_checkpoint_exits_3(synth_dir, tmp_path, capsys, how):
 def test_evaluate_out_of_layout_context_exits_3(synth_dir, tmp_path, capsys):
     doc = json.loads((synth_dir["data"] / "test.json").read_text())
     width = sum(len(cats) for _, cats in doc["schema"]["fields"])
-    doc["sessions"][0]["steps"][0][0].append(width)
+    doc["sessions"][0]["context"].append(width)
     bad = tmp_path / "test.json"
     bad.write_text(json.dumps(doc))
     code = main(["evaluate", "--data", str(bad), "--checkpoints",
@@ -251,13 +251,27 @@ def test_evaluate_out_of_layout_context_exits_3(synth_dir, tmp_path, capsys):
 def test_evaluate_float_item_exits_3(synth_dir, tmp_path, capsys):
     # read as an index, 1.5 would pass the vocabulary check and score as item 1
     doc = json.loads((synth_dir["data"] / "test.json").read_text())
-    doc["sessions"][0]["steps"][0][1] = 1.5
+    doc["sessions"][0]["items"][0] = 1.5
     bad = tmp_path / "test.json"
     bad.write_text(json.dumps(doc))
     code = main(["evaluate", "--data", str(bad), "--checkpoints",
                  str(synth_dir["ckpt"]), "--systems", "gru"])
     err = capsys.readouterr().err
     assert code == 3 and _one_line(err, f"data error: {bad}: session 0: ")
+
+
+def test_dataset_in_the_old_steps_shape_exits_3(synth_dir, tmp_path, capsys):
+    # each step a [context, item] pair, the context repeated on every step
+    doc = json.loads((synth_dir["data"] / "test.json").read_text())
+    doc["sessions"] = [{"start": s["start"], "steps": [[s["context"], i] for i in s["items"]]}
+                       for s in doc["sessions"]]
+    bad = tmp_path / "test.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["evaluate", "--data", str(bad), "--checkpoints",
+                 str(synth_dir["ckpt"]), "--systems", "gru"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert _one_line(captured.err, f"data error: {bad}: session 0: not an object")
 
 
 def _overflow():
@@ -601,8 +615,6 @@ def _edit_meta(src, dst, edit):
 
 
 @pytest.mark.parametrize("system, name, key, change, message", [
-    ("pnn", "pnn.npz", "field_offsets", [0, 7, 10, 15, 20, 25], "not the running sums"),
-    ("arnn", "merge.npz", "field_offsets", [0, 7, 10, 15, 20, 25], "not the running sums"),
     ("arnn", "merge.npz", "n_items", 61, "vocabulary mismatch"),
 ])
 def test_inconsistent_pnn_meta_exits_3_naming_the_file(synth_dir, tmp_path, capsys,
@@ -623,14 +635,17 @@ def test_inconsistent_pnn_meta_exits_3_naming_the_file(synth_dir, tmp_path, caps
 
 @pytest.mark.parametrize("name", ["pnn.npz", "merge.npz"])
 def test_format_1_checkpoint_exits_3(synth_dir, tmp_path, capsys, name):
+    # and format 2, whose PNN hyperparameters held the field offsets too
     bad = tmp_path / name
-    _edit_meta(synth_dir["ckpt"] / name, bad, lambda meta: meta.update(format_version=1))
     data = str(synth_dir["data"] / "train.json")
-    assert main(["recommend", "--checkpoint", str(bad), "--data", data,
-                 "--items", read_schema(data).item_vocabulary[0]]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert _one_line(captured.err, f"data error: {bad}: unsupported format 1")
+    for version in (1, 2):
+        _edit_meta(synth_dir["ckpt"] / name, bad,
+                   lambda meta: meta.update(format_version=version))
+        assert main(["recommend", "--checkpoint", str(bad), "--data", data,
+                     "--items", read_schema(data).item_vocabulary[0]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line(captured.err, f"data error: {bad}: unsupported format {version}")
 
 
 @pytest.mark.parametrize("stage", ["gru", "pnn"])
@@ -638,8 +653,8 @@ def test_train_on_a_context_with_an_empty_field_exits_3(synth_dir, tmp_path, cap
     doc = json.loads((synth_dir["data"] / "train.json").read_text())
     sizes = [len(cats) for _, cats in doc["schema"]["fields"]]
     lo, hi = sizes[0], sizes[0] + sizes[1]  # field 1's positions
-    step = doc["sessions"][3]["steps"][1]
-    step[0] = [p for p in step[0] if not lo <= p < hi]
+    session = doc["sessions"][3]
+    session["context"] = [p for p in session["context"] if not lo <= p < hi]
     bad = tmp_path / "train.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "ckpt"

@@ -197,6 +197,19 @@ def test_encode_decode_round_trip():
         assert schema.encode(schema.decode(pos)) == pos
 
 
+@pytest.mark.parametrize("sizes, position", [
+    ((2, 3), -1),  # -1 would wrap to the last field's 'u'
+    ((2, 2), -1),  # -1 would raise a bare IndexError
+    ((2, 3), -5),
+    ((2, 3), 5),
+])
+def test_decode_rejects_a_position_outside_the_layout(sizes, position):
+    cats = [["x", "y"], ["u", "v", "w"]]
+    schema = D.FieldSchema([(name, c[:n]) for name, c, n in zip("ab", cats, sizes)], ["i0"])
+    with pytest.raises(SchemaError, match=f"position {position} outside the one-hot layout"):
+        schema.decode([0, position])
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     data=st.data(),
@@ -225,12 +238,16 @@ def test_round_trip_is_identity_on_valid_positions(data, sizes):
 
 
 def _session(start, items, n_items=50):
-    ctx = (0,)
-    return D.Session(steps=[(ctx, i) for i in items], start_time=start)
+    return D.Session((0,), items, start_time=start)
 
 
 def _schema(n_items=50):
     return D.FieldSchema([("a", ["x", D.UNKNOWN])], [f"i{k}" for k in range(n_items)])
+
+
+def test_session_steps_pair_the_context_with_each_item():
+    s = _session(0, [3, 1, 3])
+    assert s.steps == [((0,), 3), ((0,), 1), ((0,), 3)]
 
 
 def test_split_takes_last_window():
@@ -251,7 +268,7 @@ def test_split_drops_cold_item_sessions():
     ]
     train, test = D.split_train_test(sessions, _schema(), 3 * day)
     assert len(test.sessions) == 1
-    assert [i for _, i in test.sessions[0].steps] == [0, 2]
+    assert test.sessions[0].items == [0, 2]
 
 
 def test_split_cold_steps_removed_but_session_kept():
@@ -261,7 +278,7 @@ def test_split_cold_steps_removed_but_session_kept():
         _session(29 * day, [0, 40, 2]),
     ]
     _, test = D.split_train_test(sessions, _schema(), 3 * day)
-    assert [i for _, i in test.sessions[0].steps] == [0, 2]
+    assert test.sessions[0].items == [0, 2]
 
 
 def test_split_zero_window_errors():
@@ -334,8 +351,8 @@ def test_read_events_rejects_a_repeated_header_column(tmp_path, repeated):
 def test_dataset_file_round_trip(tmp_path):
     schema = _schema(5)
     ds = D.SessionDataset(
-        [D.Session([((0,), 1), ((0,), 2)], 100),
-         D.Session([((1,), 0), ((1,), 4), ((1,), 2)], 7)],
+        [D.Session((0,), [1, 2], 100),
+         D.Session((1,), [0, 4, 2], 7)],
         schema,
     )
     path = tmp_path / "ds.json"
@@ -343,9 +360,11 @@ def test_dataset_file_round_trip(tmp_path):
     loaded = D.SessionDataset.load(path)
     assert loaded.schema.to_dict() == schema.to_dict()
     assert loaded.schema.hash() == schema.hash()
-    assert [(s.start_time, s.steps) for s in loaded.sessions] == [
-        (s.start_time, s.steps) for s in ds.sessions
+    assert [(s.start_time, s.context, s.items) for s in loaded.sessions] == [
+        (100, (0,), [1, 2]), (7, (1,), [0, 4, 2])
     ]
+    assert json.loads(path.read_text())["sessions"][1] == {"start": 7, "context": [1],
+                                                            "items": [0, 4, 2]}
     # exact byte round-trip when re-saved
     path2 = tmp_path / "ds2.json"
     loaded.save(path2)
@@ -354,18 +373,18 @@ def test_dataset_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize("position", [-1, 2, 7])
 def test_dataset_load_rejects_out_of_layout_context(tmp_path, position):
-    ds = D.SessionDataset([D.Session([((0,), 1), ((1,), 2)], 100)], _schema(5))
+    ds = D.SessionDataset([D.Session((0,), [1, 2], 100)], _schema(5))
     path = tmp_path / "ds.json"
     ds.save(path)
     doc = json.loads(path.read_text())
-    doc["sessions"][0]["steps"][1][0] = [1, position]  # layout is [0, 2)
+    doc["sessions"][0]["context"] = [1, position]  # layout is [0, 2)
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=f"position {position} outside"):
         D.SessionDataset.load(path)
 
 
 def test_read_schema_matches_full_load(tmp_path):
-    ds = D.SessionDataset([D.Session([((0,), 1), ((1,), 2)], 100)], _schema(5))
+    ds = D.SessionDataset([D.Session((0,), [1, 2], 100)], _schema(5))
     path = tmp_path / "ds.json"
     ds.save(path)
     schema = D.read_schema(path)
@@ -386,14 +405,15 @@ _NOT_DATASETS = {
 
 # a saved dataset's second session, malformed; only `load` reads sessions
 _BAD_SESSIONS = {
-    "session without steps": {"start": 0},
-    "session not an object": [[[0], 1], [[1], 2]],
-    "float start": {"start": 0.5, "steps": [[[0], 1], [[1], 2]]},
-    "step not a pair": {"start": 0, "steps": [[[0], 1, 2], [[1], 2]]},
-    "string item": {"start": 0, "steps": [[[0], "i1"], [[1], 2]]},
-    "float item": {"start": 0, "steps": [[[0], 1.5], [[1], 2]]},
-    "bool item": {"start": 0, "steps": [[[0], True], [[1], 2]]},
-    "string position": {"start": 0, "steps": [[["a"], 1], [[1], 2]]},
+    "session without steps": {"start": 0, "context": [0]},
+    "session not an object": [[0], [1, 2]],
+    "float start": {"start": 0.5, "context": [0], "items": [1, 2]},
+    "context not a list": {"start": 0, "context": 0, "items": [1, 2]},
+    "string item": {"start": 0, "context": [0], "items": ["i1", 2]},
+    "float item": {"start": 0, "context": [0], "items": [1.5, 2]},
+    "bool item": {"start": 0, "context": [0], "items": [True, 2]},
+    "string position": {"start": 0, "context": ["a"], "items": [1, 2]},
+    "old steps shape": {"start": 0, "steps": [[[0], 1], [[0], 2]]},
 }
 
 
@@ -405,7 +425,7 @@ _BAD_SESSIONS = {
 def test_dataset_readers_raise_data_error(tmp_path, reader, how):
     path = tmp_path / "ds.json"
     if how in _BAD_SESSIONS:
-        good = {"start": 0, "steps": [[[0], 1], [[1], 2]]}
+        good = {"start": 0, "context": [0], "items": [1, 2]}
         content = json.dumps({"schema": _schema(5).to_dict(),
                               "sessions": [good, _BAD_SESSIONS[how]]}).encode()
     else:
@@ -454,4 +474,4 @@ def test_preprocess_end_to_end():
 
 def test_dataset_rejects_short_sessions():
     with pytest.raises(DataError):
-        D.SessionDataset([D.Session([((0,), 0)], 0)], _schema(5))
+        D.SessionDataset([D.Session((0,), [0], 0)], _schema(5))

@@ -33,7 +33,7 @@ def make_dataset(item_lists, n_items=10, n_cats=2):
     cats = [f"c{i}" for i in range(n_cats)] + ["unknown"]
     schema = FieldSchema([("f", cats)], [f"i{k}" for k in range(n_items)])
     sessions = [
-        Session(steps=[((k % n_cats,), i) for i in items], start_time=k)
+        Session((k % n_cats,), items, start_time=k)
         for k, items in enumerate(item_lists)
     ]
     return SessionDataset(sessions, schema)

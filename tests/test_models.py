@@ -26,8 +26,7 @@ def small_gru(n_items=4, hidden=3, seed=5, dropout=0.0):
 
 
 def small_pnn(field_sizes=(3, 2), embed=3, context=5, n_items=4, seed=6):
-    offsets = np.concatenate([[0], np.cumsum(field_sizes)[:-1]]).tolist()
-    return PnnEncoder(list(field_sizes), offsets, n_items, embed, context,
+    return PnnEncoder(list(field_sizes), n_items, embed, context,
                       rng=np.random.default_rng(seed))
 
 
@@ -190,7 +189,7 @@ def test_pnn_product_signal_length_368_fields():
 
 def test_pnn_dimension_profile():
     # 3 context fields + previous item = 4 fields at embedding 10
-    pnn = PnnEncoder([4, 4, 4], [0, 4, 8], n_items=20, embed_dim=10,
+    pnn = PnnEncoder([4, 4, 4], n_items=20, embed_dim=10,
                      context_dim=300, rng=np.random.default_rng(1))
     assert pnn.fc_weight.value.shape == (4 * 10 + 6, 300)
     rng = np.random.default_rng(2)
@@ -236,7 +235,7 @@ def _composed_features(pnn, contexts, prev):
 
 def test_pnn_embedding_is_the_per_field_draws_then_the_items():
     sizes, n_items, e, seed = [3, 1, 4], 5, 2, 13
-    pnn = PnnEncoder(sizes, [0, 3, 4], n_items, e, 6, rng=np.random.default_rng(seed))
+    pnn = PnnEncoder(sizes, n_items, e, 6, rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     blocks = [T.glorot_uniform((size, e), rng) for size in [*sizes, n_items]]
     assert pnn.parameters()[0] is pnn.embedding
@@ -248,12 +247,6 @@ def test_pnn_embedding_is_the_per_field_draws_then_the_items():
     # the next draw is the FC weight's, as when each block was its own table
     in_dim = 4 * e + 6
     assert pnn.fc_weight.value.tobytes() == T.glorot_uniform((in_dim, 6), rng).tobytes()
-
-
-@pytest.mark.parametrize("offsets", [[0, 7, 10], [0, 3], [1, 3, 5], [0, 2, 5]])
-def test_pnn_rejects_offsets_that_are_not_running_sums(offsets):
-    with pytest.raises(SchemaError, match="not the running sums"):
-        PnnEncoder([3, 2, 4], offsets, 5, 2, 4)
 
 
 def test_product_layer_node_is_the_composed_ops_bit_for_bit():
@@ -397,7 +390,7 @@ def test_arnn_freeze_flags():
 
 
 def test_arnn_merge_input_length_profile():
-    pnn = PnnEncoder([3, 3], [0, 3], n_items=10, embed_dim=4, context_dim=300,
+    pnn = PnnEncoder([3, 3], n_items=10, embed_dim=4, context_dim=300,
                      rng=np.random.default_rng(0))
     gru = GruSessionModel(10, 1000, rng=np.random.default_rng(1))
     model = ArnnModel(pnn, gru, merge_dim=1000, rng=np.random.default_rng(2))

@@ -319,13 +319,12 @@ def toy_dataset(n_sessions=20, n_items=8, seed=0, context_driven=False):
     sessions = []
     for s in range(n_sessions):
         group = s % 2 if context_driven else 0
-        ctx = (group,)
         item = int(rng.integers(n_items))
-        steps = [(ctx, item)]
+        items = [item]
         for _ in range(4):
             item = (succ1 if group else succ0)[item]
-            steps.append((ctx, item))
-        sessions.append(Session(steps=steps, start_time=s * 1000))
+            items.append(item)
+        sessions.append(Session((group,), items, start_time=s * 1000))
     return SessionDataset(sessions, schema)
 
 
@@ -498,7 +497,7 @@ def test_run_stage_skip_rules(tmp_path, monkeypatch):
     # target 1 and the long session ends alone in one-row batches
     schema = FieldSchema([("f", ["a", "unknown"])], [f"i{k}" for k in range(8)])
     item_lists = [[0, 1, 2, 3, 4, 5], [6, 1], [7, 1], [2, 3]]  # the last validates
-    ds = SessionDataset([Session([((0,), i) for i in items], start_time=k)
+    ds = SessionDataset([Session((0,), items, start_time=k)
                          for k, items in enumerate(item_lists)], schema)
     emitted, scored = [], []
     steps = []
