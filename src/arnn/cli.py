@@ -16,7 +16,6 @@ codes: 0 success, 2 configuration error, 3 data error, 4 numeric divergence.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -44,20 +43,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 SYSTEMS = ("itemknn", "gru", "pnn", "arnn")
-
-
-@contextlib.contextmanager
-def _finite_guard(enabled: bool):
-    """Check every op output for NaN/Inf while the command runs.
-
-    The guard is module state, so it is switched off again on the way out:
-    callers of ``main`` in the same process get the default back.
-    """
-    T.set_check_finite(enabled)
-    try:
-        yield
-    finally:
-        T.set_check_finite(False)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +299,8 @@ def main(argv=None) -> int:
         handler, table, _ = COMMANDS[args.command]
         file_values = parse_config_file(args.config) if args.config else {}
         cfg = resolve(table, file_values, {k: getattr(args, k) for k in table})
-        guard = _finite_guard(cfg["check_finite"]) if "check_finite" in cfg else None
-        with guard or contextlib.nullcontext():
-            return handler(cfg)
+        T.set_check_finite(cfg.get("check_finite", False))
+        return handler(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -326,6 +310,8 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:  # the guard is module state; later callers get the default back
+        T.set_check_finite(False)
 
 
 if __name__ == "__main__":

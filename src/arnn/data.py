@@ -10,6 +10,9 @@ Boundary rules fixed here: a gap strictly greater than the threshold starts
 a new session (a gap equal to the threshold does not); popularity ties
 break by first-seen order; a user's context is taken from the session's
 first event, held constant for the whole session and stored once per session.
+
+A saved dataset is JSON Lines: the schema on line 1, then one session per
+line, so reading the schema parses no session.
 """
 
 from __future__ import annotations
@@ -158,39 +161,45 @@ class SessionDataset:
 
     def __post_init__(self):
         n_items = len(self.schema.item_vocabulary)
-        for s in self.sessions:
+        for n, s in enumerate(self.sessions):
             if len(s.items) < 2:
-                raise DataError("sessions must have at least 2 steps")
+                raise DataError(f"session {n}: fewer than 2 items")
             for item in s.items:
                 if not 0 <= item < n_items:
-                    raise DataError(f"item index {item} outside vocabulary of {n_items}")
+                    raise DataError(f"session {n}: item index {item} outside "
+                                    f"vocabulary of {n_items}")
 
     def item_set(self) -> set[int]:
         return {item for s in self.sessions for item in s.items}
 
     def save(self, path) -> None:
-        doc = {
-            "schema": self.schema.to_dict(),
-            "sessions": [
-                {"start": s.start_time, "context": list(s.context), "items": s.items}
-                for s in self.sessions
-            ],
-        }
+        """Write JSON Lines: the schema on line 1, then one
+        ``{"start", "context", "items"}`` session per line."""
+        lines = [self.schema.to_dict()] + [
+            {"start": s.start_time, "context": list(s.context), "items": s.items}
+            for s in self.sessions
+        ]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
+            fh.writelines(json.dumps(v, separators=(",", ":")) + "\n" for v in lines)
 
     @classmethod
     def load(cls, path) -> "SessionDataset":
         """Read a saved dataset; each context has a position in every field and none outside.
 
-        A session that is not an object with an integer ``start``, a
+        Each line after the schema line is parsed on its own.  A line that
+        is not JSON, or not an object with an integer ``start``, a
         ``context`` list of integer positions and an ``items`` list of
-        integer indices raises DataError naming the session.
+        integer indices, raises DataError naming the file and the session,
+        as does a session that the dataset itself rejects.
         """
-        schema, raw_sessions = _read_dataset(path)
+        schema, lines = _read_dataset(path)
         width, n_fields = schema.one_hot_length, len(schema.fields)
         sessions = []
-        for n, s in enumerate(raw_sessions):
+        for n, line in enumerate(lines):
+            try:
+                s = json.loads(line)
+            except ValueError as exc:
+                raise DataError(f"{path}: session {n}: not JSON: {exc}") from None
             # `type(v) is int`: a JSON bool or float is not an index
             if not (isinstance(s, dict) and type(s.get("start")) is int
                     and isinstance(s.get("context"), list) and isinstance(s.get("items"), list)
@@ -200,39 +209,40 @@ class SessionDataset:
             ctx = tuple(s["context"])
             outside = [p for p in ctx if not 0 <= p < width]
             if outside:
-                raise SchemaError(f"{path}: context position {outside[0]} outside "
-                                  f"the one-hot layout of length {width}")
+                raise SchemaError(f"{path}: session {n}: context position {outside[0]} "
+                                  f"outside the one-hot layout of length {width}")
             empty = set(range(n_fields)).difference(
                 bisect.bisect_right(schema.offsets, p) - 1 for p in ctx)
             if empty:
                 raise SchemaError(f"{path}: session {n}: field {min(empty)} "
                                   f"({schema.fields[min(empty)][0]!r}) has no position")
             sessions.append(Session(ctx, s["items"], s["start"]))
-        return cls(sessions=sessions, schema=schema)
+        try:
+            return cls(sessions=sessions, schema=schema)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
-def _read_dataset(path) -> tuple[FieldSchema, list]:
-    """The schema and the raw session list of a saved dataset file.
+def _read_dataset(path) -> tuple[FieldSchema, list[str]]:
+    """The schema from a saved dataset's first line, and its session lines unparsed.
 
-    A file that cannot be opened or parsed raises DataError, as does one
-    whose top level is not a saved dataset's ``schema`` and ``sessions``.
+    A file that cannot be opened or decoded, or whose first line is not a
+    JSON schema, raises DataError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            head, lines = fh.readline(), fh.readlines()
+        doc = json.loads(head)
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: unreadable dataset: {exc}") from None
-    if not (isinstance(doc, dict) and "schema" in doc and isinstance(doc.get("sessions"), list)):
-        raise DataError(f"{path}: not a saved dataset: its top level needs "
-                        f"'schema' and a 'sessions' list")
     try:
-        return FieldSchema.from_dict(doc["schema"]), doc["sessions"]
+        return FieldSchema.from_dict(doc), lines
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: not a saved dataset: bad schema: {exc!r}") from None
+        raise DataError(f"{path}: not a saved dataset: bad schema line: {exc!r}") from None
 
 
 def read_schema(path) -> FieldSchema:
-    """The schema of a saved dataset, without building its sessions."""
+    """The schema of a saved dataset, from its first line; no session is parsed."""
     return _read_dataset(path)[0]
 
 

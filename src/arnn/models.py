@@ -427,11 +427,13 @@ def _fill(model, stored: dict, path) -> None:
         name = key.partition("/")[2]
         if key not in stored:
             raise CheckpointError(f"{path}: missing tensor {name!r}")
-        if stored[key].shape != target.shape:
+        if stored[key].shape != target.shape or stored[key].dtype != target.dtype:
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {stored[key].shape}, "
-                f"expected {target.shape}"
+                f"{path}: tensor {name!r} has shape {stored[key].shape} and dtype "
+                f"{stored[key].dtype}, expected {target.shape} and {target.dtype}"
             )
+        if not np.isfinite(stored[key]).all():  # training never saves NaN or Inf
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or Inf")
         target[...] = stored[key]
 
 

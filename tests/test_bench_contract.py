@@ -11,6 +11,7 @@ that breaks any of these would only show when the benchmark runs.
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 from arnn import cli, evaluate
 from arnn.data import FieldSchema, Session, SessionDataset
 from arnn.evaluate import build_itemknn, evaluate_system
-from arnn.models import ArnnModel, GruSessionModel, PnnEncoder
+from arnn.models import ArnnModel, GruSessionModel, PnnEncoder, save_checkpoint
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -103,6 +104,24 @@ def _toy_systems():
 
     return ds, {"itemknn": build_itemknn(ds, lam=1.0, top_m=4), "gru": gru(), "pnn": pnn(),
                 "arnn": ArnnModel(pnn(), gru(), 8, rng=np.random.default_rng(3))}
+
+
+def test_bench_recommend_call_runs_through_the_cli(perfbench, monkeypatch, tmp_path):
+    # the bench's own call on files written as it writes them, so a change to
+    # the dataset or checkpoint format that breaks `recommend` fails here
+    workloads, spans = perfbench("workloads"), perfbench("spans")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # checks imports it by name
+    checks = perfbench("checks")
+    ds, systems = _toy_systems()
+    paths = workloads.Paths(str(tmp_path))
+    os.makedirs(paths.ckpt)
+    ds.save(paths.train)
+    save_checkpoint(paths.checkpoint("merge"), systems["arnn"], ds.schema.hash())
+    r = workloads.Round(train=ds, test=ds)
+    for session, prefix in ((0, 1), (2, 4), (6, 1)):
+        workloads._recommend(r, paths, session, prefix, spans.NullTracer())
+    assert [run[2] for run in r.recommend_runs] == [0, 0, 0] and r.failed == 0
+    assert checks.recommendations(r, systems["arnn"]) == []
 
 
 @pytest.mark.parametrize("kind", ["itemknn", "gru", "pnn", "arnn"])

@@ -10,6 +10,7 @@ from arnn.cli import main, softmax
 from arnn.data import SessionDataset, read_schema
 from arnn.evaluate import top_k_items
 from arnn.models import load_checkpoint
+from util import edit_dataset
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +238,10 @@ def test_unreadable_checkpoint_exits_3(synth_dir, tmp_path, capsys, how):
 
 
 def test_evaluate_out_of_layout_context_exits_3(synth_dir, tmp_path, capsys):
-    doc = json.loads((synth_dir["data"] / "test.json").read_text())
-    width = sum(len(cats) for _, cats in doc["schema"]["fields"])
-    doc["sessions"][0]["context"].append(width)
+    width = read_schema(synth_dir["data"] / "test.json").one_hot_length
     bad = tmp_path / "test.json"
-    bad.write_text(json.dumps(doc))
+    edit_dataset(synth_dir["data"] / "test.json", bad,
+                 lambda schema, sessions: sessions[0]["context"].append(width))
     code = main(["evaluate", "--data", str(bad), "--checkpoints",
                  str(synth_dir["ckpt"]), "--systems", "gru"])
     assert code == 3
@@ -250,10 +250,11 @@ def test_evaluate_out_of_layout_context_exits_3(synth_dir, tmp_path, capsys):
 
 def test_evaluate_float_item_exits_3(synth_dir, tmp_path, capsys):
     # read as an index, 1.5 would pass the vocabulary check and score as item 1
-    doc = json.loads((synth_dir["data"] / "test.json").read_text())
-    doc["sessions"][0]["items"][0] = 1.5
+    def float_item(schema, sessions):
+        sessions[0]["items"][0] = 1.5
+
     bad = tmp_path / "test.json"
-    bad.write_text(json.dumps(doc))
+    edit_dataset(synth_dir["data"] / "test.json", bad, float_item)
     code = main(["evaluate", "--data", str(bad), "--checkpoints",
                  str(synth_dir["ckpt"]), "--systems", "gru"])
     err = capsys.readouterr().err
@@ -262,16 +263,38 @@ def test_evaluate_float_item_exits_3(synth_dir, tmp_path, capsys):
 
 def test_dataset_in_the_old_steps_shape_exits_3(synth_dir, tmp_path, capsys):
     # each step a [context, item] pair, the context repeated on every step
-    doc = json.loads((synth_dir["data"] / "test.json").read_text())
-    doc["sessions"] = [{"start": s["start"], "steps": [[s["context"], i] for i in s["items"]]}
-                       for s in doc["sessions"]]
+    def to_steps(schema, sessions):
+        sessions[:] = [{"start": s["start"], "steps": [[s["context"], i] for i in s["items"]]}
+                       for s in sessions]
+
     bad = tmp_path / "test.json"
-    bad.write_text(json.dumps(doc))
+    edit_dataset(synth_dir["data"] / "test.json", bad, to_steps)
     code = main(["evaluate", "--data", str(bad), "--checkpoints",
                  str(synth_dir["ckpt"]), "--systems", "gru"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert _one_line(captured.err, f"data error: {bad}: session 0: not an object")
+
+
+def test_dataset_in_the_single_document_layout_exits_3(synth_dir, tmp_path, capsys):
+    # the layout before JSON Lines: one object holding the schema and a session list
+    for name in ("train.json", "test.json"):
+        schema, *sessions = [json.loads(line)
+                             for line in (synth_dir["data"] / name).read_text().splitlines()]
+        (tmp_path / name).write_text(json.dumps({"schema": schema, "sessions": sessions},
+                                                separators=(",", ":")))
+    train, test, out = tmp_path / "train.json", tmp_path / "test.json", tmp_path / "ckpt"
+    for argv, bad in ((["train", "--stage", "gru", "--data", str(train), "--out", str(out),
+                        "--epochs", "1"], train),
+                      (["evaluate", "--data", str(test), "--train-data", str(train),
+                        "--checkpoints", str(synth_dir["ckpt"])], test),
+                      (["recommend", "--checkpoint", str(synth_dir["ckpt"] / "merge.npz"),
+                        "--data", str(train), "--items", "item000"], train)):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line(captured.err, f"data error: {bad}: not a saved dataset: ")
+    assert not out.exists()
 
 
 def _overflow():
@@ -648,15 +671,36 @@ def test_format_1_checkpoint_exits_3(synth_dir, tmp_path, capsys, name):
         assert _one_line(captured.err, f"data error: {bad}: unsupported format {version}")
 
 
+@pytest.mark.parametrize("spoil, problem", [
+    (lambda bias: np.where(np.arange(bias.size) == 3, np.nan, bias), "holds NaN or Inf"),
+    (lambda bias: np.where(np.arange(bias.size) == 3, np.inf, bias), "holds NaN or Inf"),
+    (lambda bias: bias.astype(str), "has shape"),
+], ids=["nan", "inf", "str"])
+def test_checkpoint_holding_a_bad_tensor_exits_3(synth_dir, tmp_path, capsys, spoil, problem):
+    # ranked, a NaN target score would count as rank 1 and read as a perfect MRR
+    stored = dict(np.load(synth_dir["ckpt"] / "gru.npz"))
+    stored["param/gru/out_bias"] = spoil(stored["param/gru/out_bias"])
+    np.savez(tmp_path / "gru.npz", **stored)
+    data = str(synth_dir["data"] / "train.json")
+    message = f"data error: {tmp_path / 'gru.npz'}: tensor 'gru/out_bias' {problem}"
+    for argv in (["evaluate", "--data", str(synth_dir["data"] / "test.json"),
+                  "--checkpoints", str(tmp_path), "--systems", "gru"],
+                 ["recommend", "--checkpoint", str(tmp_path / "gru.npz"), "--data", data,
+                  "--items", read_schema(data).item_vocabulary[0]]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line(captured.err, message)
+
+
 @pytest.mark.parametrize("stage", ["gru", "pnn"])
 def test_train_on_a_context_with_an_empty_field_exits_3(synth_dir, tmp_path, capsys, stage):
-    doc = json.loads((synth_dir["data"] / "train.json").read_text())
-    sizes = [len(cats) for _, cats in doc["schema"]["fields"]]
-    lo, hi = sizes[0], sizes[0] + sizes[1]  # field 1's positions
-    session = doc["sessions"][3]
-    session["context"] = [p for p in session["context"] if not lo <= p < hi]
+    def empty_field_1(schema, sessions):
+        sizes = [len(cats) for _, cats in schema["fields"]]
+        lo, hi = sizes[0], sizes[0] + sizes[1]  # field 1's positions
+        sessions[3]["context"] = [p for p in sessions[3]["context"] if not lo <= p < hi]
+
     bad = tmp_path / "train.json"
-    bad.write_text(json.dumps(doc))
+    edit_dataset(synth_dir["data"] / "train.json", bad, empty_field_1)
     out = tmp_path / "ckpt"
     assert main(["train", "--stage", stage, "--data", str(bad), "--out", str(out),
                  "--epochs", "1"]) == 3

@@ -12,6 +12,7 @@ from arnn.errors import (
     SchemaError,
     SplitError,
 )
+from util import edit_dataset
 
 
 def ev(user, item, ts, **attrs):
@@ -363,8 +364,12 @@ def test_dataset_file_round_trip(tmp_path):
     assert [(s.start_time, s.context, s.items) for s in loaded.sessions] == [
         (100, (0,), [1, 2]), (7, (1,), [0, 4, 2])
     ]
-    assert json.loads(path.read_text())["sessions"][1] == {"start": 7, "context": [1],
-                                                            "items": [0, 4, 2]}
+    # JSON Lines: the schema, then one compact session per line
+    assert path.read_text().splitlines() == [
+        json.dumps(schema.to_dict(), separators=(",", ":")),
+        '{"start":100,"context":[0],"items":[1,2]}',
+        '{"start":7,"context":[1],"items":[0,4,2]}',
+    ]
     # exact byte round-trip when re-saved
     path2 = tmp_path / "ds2.json"
     loaded.save(path2)
@@ -376,10 +381,9 @@ def test_dataset_load_rejects_out_of_layout_context(tmp_path, position):
     ds = D.SessionDataset([D.Session((0,), [1, 2], 100)], _schema(5))
     path = tmp_path / "ds.json"
     ds.save(path)
-    doc = json.loads(path.read_text())
-    doc["sessions"][0]["context"] = [1, position]  # layout is [0, 2)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=f"position {position} outside"):
+    edit_dataset(path, path, lambda schema, sessions: sessions[0].update(
+        context=[1, position]))  # layout is [0, 2)
+    with pytest.raises(DataError, match=f"session 0: context position {position} outside"):
         D.SessionDataset.load(path)
 
 
@@ -390,6 +394,16 @@ def test_read_schema_matches_full_load(tmp_path):
     schema = D.read_schema(path)
     assert schema.hash() == D.SessionDataset.load(path).schema.hash()
     assert schema.has_item("i4") and not schema.has_item("i5")
+
+
+def test_read_schema_parses_no_session(tmp_path):
+    path = tmp_path / "ds.json"
+    D.SessionDataset([D.Session((0,), [1, 2], 100)], _schema(5)).save(path)
+    head = path.read_text().splitlines()[0]
+    path.write_text(head + "\n{not json\n")
+    assert D.read_schema(path).hash() == _schema(5).hash()
+    with pytest.raises(DataError, match=f"^{path}: session 0: not JSON"):
+        D.SessionDataset.load(path)
 
 
 _NOT_DATASETS = {
@@ -414,6 +428,8 @@ _BAD_SESSIONS = {
     "bool item": {"start": 0, "context": [0], "items": [True, 2]},
     "string position": {"start": 0, "context": ["a"], "items": [1, 2]},
     "old steps shape": {"start": 0, "steps": [[[0], 1], [[0], 2]]},
+    "one item": {"start": 0, "context": [0], "items": [1]},
+    "item outside vocabulary": {"start": 0, "context": [0], "items": [1, 7]},
 }
 
 
@@ -424,13 +440,11 @@ _BAD_SESSIONS = {
 ])
 def test_dataset_readers_raise_data_error(tmp_path, reader, how):
     path = tmp_path / "ds.json"
+    content = _NOT_DATASETS.get(how)
     if how in _BAD_SESSIONS:
-        good = {"start": 0, "context": [0], "items": [1, 2]}
-        content = json.dumps({"schema": _schema(5).to_dict(),
-                              "sessions": [good, _BAD_SESSIONS[how]]}).encode()
-    else:
-        content = _NOT_DATASETS[how]
-    if content == "dir":
+        D.SessionDataset([D.Session((0,), [1, 2], 0)], _schema(5)).save(path)
+        edit_dataset(path, path, lambda schema, sessions: sessions.append(_BAD_SESSIONS[how]))
+    elif content == "dir":
         path.mkdir()
     elif content is not None:
         path.write_bytes(content)

@@ -1,4 +1,7 @@
-"""Shared test helpers: finite-difference gradient oracle."""
+"""Shared test helpers: finite-difference gradient oracle, dataset file edits."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -84,3 +87,15 @@ def assert_param_grads_match(loss_fn, params, rel=1e-4, abs_floor=1e-8, h=1e-5):
                 f"fd(h={h:g}) {fd[i]:.6e}, fd(2h={2.0 * h:g}) {fd_2h:.6e}, "
                 f"noise |fd(h) - fd(2h)| {noise:.3e}"
             )
+
+
+def edit_dataset(src, dst, edit):
+    """Write dst as the saved dataset file src after edit(schema, sessions).
+
+    `schema` is the parsed schema line and `sessions` the list of parsed
+    session lines; edit changes them in place.  dst gets one JSON value per
+    line, the layout that `SessionDataset.save` writes.
+    """
+    schema, *sessions = [json.loads(line) for line in Path(src).read_text().splitlines()]
+    edit(schema, sessions)
+    Path(dst).write_text("".join(json.dumps(v) + "\n" for v in [schema, *sessions]))
