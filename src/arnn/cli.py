@@ -35,7 +35,7 @@ from .errors import (
 from .evaluate import EvalReport, build_itemknn, evaluate_system, top_k_items
 from .models import load_checkpoint
 from .synth import GeneratorSpec, generate, write_events, write_truth
-from .training import history_tsv, make_plan, run_stage
+from .training import EVAL_K, history_tsv, make_plan, run_stage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,9 +140,9 @@ def cmd_train(cfg) -> int:
                        gru_checkpoint=gru_ckpt, pnn_checkpoint=pnn_ckpt)
     history_path = os.path.join(cfg["out"], f"{cfg['stage']}_history.tsv")
     with open(history_path, "w", encoding="utf-8") as fh:
-        fh.write(history_tsv(result.history, k=plan.eval_k))
+        fh.write(history_tsv(result.history))
     print(f"stage {cfg['stage']}: checkpoint {result.checkpoint_path}, "
-          f"best validation recall@{plan.eval_k} "
+          f"best validation recall@{EVAL_K} "
           f"{result.best_recall if result.history else float('nan'):.4f}")
     return EXIT_OK
 
@@ -203,9 +203,9 @@ def _parse_attrs(text: str) -> dict[str, list[str]]:
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
+        name, eq, value = (s.strip() for s in part.partition("="))
+        if not eq or not name:
             raise ConfigError(f"attributes must be field=value pairs, got {part!r}")
-        name, _, value = (s.strip() for s in part.partition("="))
         if name in attrs:
             raise ConfigError(f"field {name!r} given twice; separate its values with '|'")
         attrs[name] = [v for v in value.split("|") if v]

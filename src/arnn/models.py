@@ -26,6 +26,9 @@ rng)``, the batch rows' scores for every item or for the item columns
 each row's recurrent state.  ``ArnnModel.logits`` feeds the frozen blocks'
 outputs to the head as constants; ``step_scores`` is its differentiable
 reference.
+
+Each constructor draws its weight tables from ``rng``, or leaves them zero
+without one for ``load_checkpoint`` to fill, so loading draws no numbers.
 """
 
 from __future__ import annotations
@@ -86,13 +89,12 @@ class BatchNorm:
 
 
 class GruSessionModel:
-    """Gated recurrent session model scoring the next item from history."""
+    """GRU session model scoring the next item; tables from ``rng``, else zeros."""
 
     kind = "gru"
 
     def __init__(self, n_items: int, hidden_size: int, dropout: float = 0.0,
                  rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
         self.n_items = n_items
         self.hidden_size = hidden_size
         self.dropout = dropout
@@ -172,7 +174,7 @@ class GruSessionModel:
 
 
 class PnnEncoder:
-    """Product-based encoder of (user context, previous item) pairs."""
+    """Product-based encoder of (context, previous item); tables from ``rng``, else zeros."""
 
     kind = "pnn"
 
@@ -182,7 +184,6 @@ class PnnEncoder:
             raise SchemaError("the context encoder needs at least one context field, "
                               "and the schema has none")
         self.one_hot_length = sum(field_sizes)
-        rng = rng or np.random.default_rng(0)
         self.field_sizes = list(field_sizes)
         self.field_offsets = np.cumsum([0, *field_sizes[:-1]]).tolist()
         self.n_items = n_items
@@ -289,13 +290,12 @@ class PnnEncoder:
 
 
 class ArnnModel:
-    """Frozen GRU and context encoder merged by a trainable scoring head."""
+    """Frozen GRU and encoder under a trainable head; its tables from ``rng``, else zeros."""
 
     kind = "arnn"
 
     def __init__(self, pnn: PnnEncoder, gru: GruSessionModel, merge_dim: int,
                  rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
         if pnn.n_items != gru.n_items:
             raise CheckpointError(
                 f"vocabulary mismatch: encoder has {pnn.n_items} items, "
@@ -305,13 +305,10 @@ class ArnnModel:
         self.gru = gru
         self.merge_dim = merge_dim
         self.n_items = gru.n_items
-        for p in pnn.parameters():
+        for p in pnn.parameters() + gru.parameters():
             p.frozen = True
         # scale/shift of the encoder's batch norm stays trainable
-        pnn.bn.gamma.frozen = False
-        pnn.bn.beta.frozen = False
-        for p in gru.parameters():
-            p.frozen = True
+        pnn.bn.gamma.frozen = pnn.bn.beta.frozen = False
         in_dim = pnn.context_dim + gru.hidden_size
         self.merge_weight = T.Parameter(T.glorot_uniform((in_dim, merge_dim), rng),
                                         "merge/weight")
@@ -472,7 +469,7 @@ def load_checkpoint(path, expected_schema_hash: str | None = None,
         raise CheckpointError(f"{path}: checkpoint is {kind!r}, expected {expected_kind!r}")
     try:
         model = KINDS[kind](**hp)
-    except (KeyError, TypeError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise CheckpointError(f"{path}: cannot build a {kind!r} model: {exc!r}") from exc
     _fill(model, stored, path)
     return model

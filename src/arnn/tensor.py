@@ -608,8 +608,10 @@ def take_rc(x, rows, cols) -> Tensor:
 # initialization
 
 
-def glorot_uniform(shape, rng: np.random.Generator) -> np.ndarray:
-    """Uniform in +-sqrt(6/(fan_in+fan_out)) over a 2-D shape."""
+def glorot_uniform(shape, rng: np.random.Generator | None) -> np.ndarray:
+    """Uniform in +-sqrt(6/(fan_in+fan_out)) over a 2-D shape; zeros if rng is None."""
+    if rng is None:
+        return np.zeros(shape, dtype=DEFAULT_DTYPE)
     fan_in, fan_out = shape[0], shape[1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     # the copy frees the draw, which raises glibc's mmap threshold: fewer faults in training

@@ -45,6 +45,7 @@ from .evaluate import evaluate_system
 from .models import ArnnModel, GruSessionModel, PnnEncoder, load_checkpoint, save_checkpoint
 
 STAGES = ("gru", "pnn", "merge")
+EVAL_K = 20  # validation recall@k and MRR@k, and the history's column names
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,6 @@ class TrainPlan:
     context_dim: int
     merge_dim: int
     dropout: float
-    eval_k: int = 20
     eval_lanes: int = 50
     validation_fraction: float = 0.1
 
@@ -237,8 +237,8 @@ class StageResult:
     best_mrr: float = float("-inf")
 
 
-def history_tsv(history: list[EpochStats], k: int = 20) -> str:
-    lines = [f"epoch\ttrain_loss\tval_recall@{k}\tval_mrr@{k}"]
+def history_tsv(history: list[EpochStats]) -> str:
+    lines = [f"epoch\ttrain_loss\tval_recall@{EVAL_K}\tval_mrr@{EVAL_K}"]
     for h in history:
         lines.append(
             f"{h.epoch}\t{h.train_loss:.6f}\t{h.val_recall:.6f}\t{h.val_mrr:.6f}"
@@ -281,7 +281,7 @@ def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
 
     The initial model is written immediately, so a divergence abort always
     leaves the last good state on disk.  Training stops early when
-    validation Recall@k has not improved for `patience` epochs.
+    validation Recall@EVAL_K has not improved for `patience` epochs.
     """
     rng = np.random.default_rng(plan.seed)
     train, val = split_validation(dataset, plan.validation_fraction)
@@ -316,7 +316,7 @@ def run_stage(plan: TrainPlan, dataset: SessionDataset, out_dir,
             T.backward(loss)
             optimizer.step()
             losses.append(float(loss.data))
-        report = evaluate_system(model, val, k=plan.eval_k, lanes=plan.eval_lanes)
+        report = evaluate_system(model, val, k=EVAL_K, lanes=plan.eval_lanes)
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         result.history.append(
             EpochStats(epoch, mean_loss, report.recall, report.mrr)

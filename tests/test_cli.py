@@ -554,7 +554,8 @@ def test_every_table_key_is_a_flag_and_a_config_key(command, tmp_path, monkeypat
     assert seen == [want, want]
 
 
-@pytest.mark.parametrize("items, attrs", [(",", "f0=cat0"), ("item000", "f0")])
+@pytest.mark.parametrize("items, attrs",
+                         [(",", "f0=cat0"), ("item000", "f0"), ("item000", "=cat0")])
 def test_recommend_checks_arguments_before_files(synth_dir, tmp_path, capsys, items, attrs):
     code = main(["recommend", "--checkpoint", str(tmp_path / "missing.npz"),
                  "--data", str(synth_dir["data"] / "train.json"),

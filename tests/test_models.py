@@ -443,21 +443,71 @@ def test_arnn_vocab_mismatch_rejected():
 # checkpoints
 
 
+SEEDED = {"gru": lambda: small_gru(seed=1), "pnn": lambda: small_pnn(seed=2),
+          "arnn": lambda: build_arnn(seed=3)}
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_checkpoint_round_trip_each_kind(tmp_path):
     schema_hash = "a" * 64
-    for build in (lambda: small_gru(seed=1), lambda: small_pnn(seed=2),
-                  lambda: build_arnn(seed=3)):
+    for build in SEEDED.values():
         model = build()
         path = tmp_path / f"{model.kind}.npz"
         save_checkpoint(path, model, schema_hash)
         loaded = load_checkpoint(path, schema_hash, model.kind)
-        for p, q in zip(model.parameters(), loaded.parameters()):
+        for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
             assert p.name == q.name
-            assert_allclose(p.value, q.value)
-        for (n1, a1), (n2, a2) in zip(sorted(model.state_arrays().items()),
-                                      sorted(loaded.state_arrays().items())):
-            assert n1 == n2
-            assert_allclose(a1, a2)
+            assert p.frozen == q.frozen, p.name
+            assert _same_bits(p.value, q.value), p.name
+        assert model.state_arrays().keys() == loaded.state_arrays().keys()
+        for name, arr in model.state_arrays().items():
+            assert _same_bits(arr, loaded.state_arrays()[name]), name
+
+
+def test_model_built_without_rng_holds_zero_tables():
+    pnn, gru = PnnEncoder([3, 2], 4, 3, 5), GruSessionModel(4, 3)
+    for model in (gru, pnn, ArnnModel(pnn, gru, 6)):
+        tables = [p for p in model.parameters() if p.value.ndim == 2]
+        assert tables and all(p.value.dtype == np.float64 for p in tables)
+        assert not any(p.value.any() for p in tables), model.kind
+    # a seeded build draws every table
+    for build in SEEDED.values():
+        assert all(p.value.all() for p in build().parameters() if p.value.ndim == 2)
+
+
+@pytest.mark.parametrize("kind", SEEDED)
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, kind):
+    model = SEEDED[kind]()
+    path = tmp_path / f"{kind}.npz"
+    save_checkpoint(path, model, "a" * 64)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    # Generator's methods cannot be patched (an immutable extension type), so
+    # no generator may be made at all
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = load_checkpoint(path, "a" * 64, kind)
+    for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
+        assert _same_bits(p.value, q.value), p.name
+
+
+@pytest.mark.parametrize("kind, member", [
+    ("gru", "gru/u_reset"),
+    ("pnn", "pnn/embedding"),
+    ("arnn", "merge/out_weight"),
+])
+def test_checkpoint_missing_tensor_rejected(tmp_path, kind, member):
+    path = tmp_path / f"{kind}.npz"
+    save_checkpoint(path, SEEDED[kind](), "a" * 64)
+    stored = dict(np.load(path))
+    del stored[f"param/{member}"]
+    np.savez(path, **stored)
+    with pytest.raises(CheckpointError, match=f"missing tensor '{member}'"):
+        load_checkpoint(path, "a" * 64, kind)
 
 
 def test_checkpoint_schema_hash_mismatch(tmp_path):
@@ -492,6 +542,8 @@ def test_checkpoint_dimension_mismatch_names_tensor(tmp_path):
     ({"hyperparameters": {"hidden": 4}}, "cannot build a 'gru' model"),
     ({"hyperparameters": [4]}, "cannot build a 'gru' model"),
     ({"format_version": 0}, "unsupported format 0"),
+    ({"hyperparameters": {"n_items": 4, "hidden_size": -1, "dropout": 0.0}},
+     "cannot build a 'gru' model"),
 ])
 def test_checkpoint_bad_meta_rejected(tmp_path, edit, message):
     path = tmp_path / "m.npz"
