@@ -247,7 +247,8 @@ def cmd_recommend(cfg) -> int:
     for step, item in enumerate(indices):
         batch = MiniBatch(np.array([item]), np.zeros(1, dtype=np.int64), [context],
                           np.array([step == 0]), np.zeros(1, dtype=np.int64))
-        logits = model.logits(batch)
+        last = step == len(indices) - 1  # only its scores are printed; the rest score no item
+        logits = model.logits(batch, None if last else np.empty(0, np.int64))
     probs = softmax(logits.data)[0]
     k = min(cfg["k"], len(schema.item_vocabulary))
     for rank, idx in enumerate(top_k_items(probs, k), start=1):

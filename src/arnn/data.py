@@ -35,6 +35,7 @@ UNKNOWN = "unknown"
 # event-log columns, and the values within a multi-valued attribute cell
 DELIMITER = "\t"
 MULTI_DELIMITER = "|"
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips around a value
 
 
 @dataclass
@@ -187,17 +188,21 @@ class SessionDataset:
         """Read a saved dataset; each context has a position in every field and none outside.
 
         Each line after the schema line is parsed on its own.  A line that
-        is not JSON, or not an object with an integer ``start``, a
+        is not one JSON value, or not an object with an integer ``start``, a
         ``context`` list of integer positions and an ``items`` list of
         integer indices, raises DataError naming the file and the session,
         as does a session that the dataset itself rejects.
         """
         schema, lines = _read_dataset(path)
         width, n_fields = schema.one_hot_length, len(schema.fields)
+        raw_decode = json.JSONDecoder().raw_decode  # json.loads less its wrapper's cost
         sessions = []
         for n, line in enumerate(lines):
-            try:
-                s = json.loads(line)
+            try:  # one value between JSON whitespace, as json.loads reads it
+                s, end = raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+                rest = line[end:].lstrip(_JSON_SPACE)
+                if rest:
+                    raise json.JSONDecodeError("Extra data", line, len(line) - len(rest))
             except ValueError as exc:
                 raise DataError(f"{path}: session {n}: not JSON: {exc}") from None
             # `type(v) is int`: a JSON bool or float is not an index

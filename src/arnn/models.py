@@ -28,7 +28,7 @@ outputs to the head as constants; ``step_scores`` is its differentiable
 reference.
 
 Each constructor draws its weight tables from ``rng``, or leaves them zero
-without one for ``load_checkpoint`` to fill, so loading draws no numbers.
+without one; ``load_checkpoint`` then gives the model the archive's arrays.
 """
 
 from __future__ import annotations
@@ -367,9 +367,8 @@ class ArnnModel:
 
 def _members(model) -> dict[str, np.ndarray]:
     """Every stored array by member name: parameters, then running statistics."""
-    out = {f"param/{p.name}": p.value for p in model.parameters()}
-    out.update((f"state/{name}", arr) for name, arr in model.state_arrays().items())
-    return out
+    return {**{f"param/{p.name}": p.value for p in model.parameters()},
+            **{f"state/{name}": arr for name, arr in model.state_arrays().items()}}
 
 
 def save_checkpoint(path, model, schema_hash: str) -> None:
@@ -427,11 +426,13 @@ def _fill(model, stored: dict, path) -> None:
         if stored[key].shape != target.shape or stored[key].dtype != target.dtype:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {stored[key].shape} and dtype "
-                f"{stored[key].dtype}, expected {target.shape} and {target.dtype}"
-            )
+                f"{stored[key].dtype}, expected {target.shape} and {target.dtype}")
         if not np.isfinite(stored[key]).all():  # training never saves NaN or Inf
             raise CheckpointError(f"{path}: tensor {name!r} holds NaN or Inf")
-        target[...] = stored[key]
+        if key.startswith("state/"):  # running statistics: the batch-norm layer's arrays
+            target[...] = stored[key]
+    for p in model.parameters():  # the archive's arrays become the tables
+        p.value = np.asarray(stored[f"param/{p.name}"], order="C")
 
 
 # model kind -> builder from the stored hyperparameters
@@ -445,10 +446,10 @@ KINDS = {
 
 def load_checkpoint(path, expected_schema_hash: str | None = None,
                     expected_kind: str | None = None):
-    """Rebuild a model from a checkpoint, failing loudly on any mismatch.
+    """Rebuild a model from a checkpoint; the archive's arrays become its tables.
 
-    A file that is not a readable archive with a JSON meta member (missing,
-    truncated, or not an archive at all) raises CheckpointError as well.
+    Any mismatch, or a file that is not a readable archive with a JSON meta
+    member (missing, truncated, or not an archive at all), raises CheckpointError.
     """
     try:
         with np.load(path) as zf:

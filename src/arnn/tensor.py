@@ -10,13 +10,14 @@ Only the broadcasting the model code actually uses is supported (bias
 rows, per-row scalars); there are no GPU kernels or graph rewrites.
 Arrays are float64, so finite-difference checks have headroom.
 
-A Parameter allocates its dense gradient array on the first backward write
-or ``grad`` read, and an optimizer allocates its accumulator, so a model that
-only evaluates holds its values alone.  A Parameter records where backward
-wrote into its gradient: ``embedding``, ``embedding_bag_mean`` and
-``product_layer`` mark the rows they gathered, ``affine_columns`` the weight
-columns and bias entries it read, every other op the whole tensor.  An
-optimizer can then update only the touched slices.
+A Parameter holds the float array it is given, not a copy.  It allocates
+its dense gradient array on the first backward write or ``grad`` read, and
+an optimizer its accumulator, so a model that only evaluates holds its
+values alone.  A Parameter records where backward wrote into its gradient:
+``embedding``, ``embedding_bag_mean`` and ``product_layer`` mark the rows
+they gathered, ``affine_columns`` the weight columns and bias entries it
+read, every other op the whole tensor.  An optimizer can then update only
+the touched slices.
 
 ``product_layer`` is one node for PNN's chain of the other ops (field means,
 item gather, concat, ``pairwise_inner``), with their arithmetic in their
@@ -73,11 +74,11 @@ class Tensor:
 class Parameter:
     """Trainable value with gradient and optimizer-accumulator slots.
 
-    Both slots start empty.  The gradient, zeros of the value's shape, is
-    allocated on the first backward write or ``grad`` read; the accumulator
-    is the optimizer's to allocate (``Adagrad`` does so for the parameters it
-    updates).  A frozen parameter still receives gradients from backward();
-    optimizers must leave its value untouched.
+    The value is the caller's float array, not a copy (other input becomes
+    float64).  Both slots start empty: the gradient, zeros of the value's
+    shape, until the first backward write or ``grad`` read; the accumulator
+    until an optimizer allocates it.  A frozen parameter still receives
+    gradients from backward(); optimizers must leave its value untouched.
 
     The parameter also records which entries backward wrote into since the
     gradient was last zeroed (see ``touched``).  Reading ``grad`` counts as
@@ -87,10 +88,8 @@ class Parameter:
     __slots__ = ("value", "_grad", "accumulator", "frozen", "name", "_marks")
 
     def __init__(self, value, name: str = "", frozen: bool = False):
-        arr = np.asarray(value)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.value = arr.copy()
+        value = np.asarray(value)
+        self.value = value if value.dtype.kind == "f" else value.astype(DEFAULT_DTYPE)
         self._grad = None
         self.accumulator = None
         self.frozen = frozen

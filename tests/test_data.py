@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -404,6 +405,54 @@ def test_read_schema_parses_no_session(tmp_path):
     assert D.read_schema(path).hash() == _schema(5).hash()
     with pytest.raises(DataError, match=f"^{path}: session 0: not JSON"):
         D.SessionDataset.load(path)
+
+
+def _session_lines(path):
+    return path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("bad_lines", [
+    # two sessions on one line
+    ['{"start":1,"context":[1],"items":[0,4]},{"start":2,"context":[0],"items":[3,1]}\n'],
+    ["\n"],
+    # the first two lines are not JSON alone, though joined with a comma they make
+    # one value; with the third, the lines still join into one value per line
+    ['{"start":1,"context":[1],"items":[0,4],"x":[{"a":1}\n', '{"b":2}]}\n',
+     '{"start":2,"context":[1],"items":[0,4]},{"start":3,"context":[0],"items":[3,1]}\n'],
+])
+def test_dataset_load_names_a_line_that_is_not_one_session(tmp_path, bad_lines):
+    path = tmp_path / "ds.json"
+    D.SessionDataset([D.Session((0,), [1, 2], 0), D.Session((1,), [2, 3], 1)],
+                     _schema(5)).save(path)
+    lines = _session_lines(path)
+    path.write_text("".join([*lines[:2], *bad_lines, *lines[2:]]))
+    with pytest.raises(DataError, match=f"^{path}: session 1: not JSON"):
+        D.SessionDataset.load(path)
+
+
+@pytest.mark.parametrize("line", [" {} ,{}\n", "{}\t\r\n", "\x0c{}\n", "{} x"])
+def test_dataset_load_reads_a_line_as_json_loads_does(tmp_path, line):
+    path = tmp_path / "ds.json"
+    D.SessionDataset([D.Session((0,), [1, 2], 0)], _schema(5)).save(path)
+    path.write_text(_session_lines(path)[0] + line)
+    try:
+        json.loads(line)
+    except ValueError as exc:
+        expected = f"session 0: not JSON: {exc}"
+    else:
+        expected = "session 0: not an object"
+    with pytest.raises(DataError, match=f"^{path}: " + re.escape(expected)):
+        D.SessionDataset.load(path)
+
+
+def test_dataset_load_gives_one_session_per_line(tmp_path):
+    path = tmp_path / "ds.json"
+    sessions = [D.Session((n % 2,), [n % 5, (n + 1) % 5, 2], 10 * n) for n in range(7)]
+    D.SessionDataset(sessions, _schema(5)).save(path)
+    loaded = D.SessionDataset.load(path).sessions
+    expected = [json.loads(line) for line in _session_lines(path)[1:]]
+    assert [(s.start_time, list(s.context), s.items) for s in loaded] == [
+        (e["start"], e["context"], e["items"]) for e in expected]
 
 
 _NOT_DATASETS = {

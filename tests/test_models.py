@@ -16,6 +16,7 @@ from arnn.models import (
     read_raw_tensor_bytes,
     save_checkpoint,
 )
+from arnn.training import Adagrad
 
 RNG = np.random.default_rng(77)
 
@@ -493,6 +494,50 @@ def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, kind):
     loaded = load_checkpoint(path, "a" * 64, kind)
     for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
         assert _same_bits(p.value, q.value), p.name
+
+
+@pytest.mark.parametrize("kind", SEEDED)
+def test_checkpoint_load_keeps_the_arrays_it_read(tmp_path, monkeypatch, kind):
+    path = tmp_path / f"{kind}.npz"
+    save_checkpoint(path, SEEDED[kind](), "a" * 64)
+    read = {}
+    original = np.lib.npyio.NpzFile.__getitem__
+
+    def recording(self, key):
+        read[key] = original(self, key)
+        return read[key]
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+    loaded = load_checkpoint(path, "a" * 64, kind)
+    for p in loaded.parameters():
+        assert p.value is read[f"param/{p.name}"], p.name
+
+
+def test_checkpoint_member_in_fortran_order_loads_c_contiguous(tmp_path):
+    model = small_gru(seed=1)
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, model, "a" * 64)
+    stored = dict(np.load(path))
+    stored["param/gru/out_weight"] = np.asfortranarray(stored["param/gru/out_weight"])
+    np.savez(path, **stored)
+    assert not np.load(path)["param/gru/out_weight"].flags.c_contiguous
+    w = load_checkpoint(path, "a" * 64, "gru").out_weight.value
+    assert w.flags.c_contiguous
+    assert _same_bits(w, model.out_weight.value)
+
+
+def test_adagrad_updates_a_loaded_encoders_batch_norm_scale_in_place(tmp_path):
+    path = tmp_path / "pnn.npz"
+    save_checkpoint(path, small_pnn(seed=2), "a" * 64)
+    pnn = load_checkpoint(path, "a" * 64, "pnn")
+    model = ArnnModel(pnn, small_gru(seed=1), 6, rng=np.random.default_rng(3))
+    gamma = pnn.bn.gamma
+    table, before = gamma.value, gamma.value.copy()
+    opt = Adagrad(model.parameters(), learning_rate=0.1)
+    gamma.grad[...] = 1.0
+    opt.step()
+    assert gamma.value is table
+    assert (table < before).all()
 
 
 @pytest.mark.parametrize("kind, member", [

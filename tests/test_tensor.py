@@ -298,6 +298,14 @@ def test_sigmoid_values_are_the_piecewise_reference_bit_for_bit():
 # backward mechanics
 
 
+def test_parameter_holds_the_float_array_it_is_given():
+    a = np.arange(6.0).reshape(2, 3)
+    assert T.Parameter(a, "a").value is a
+    p = T.Parameter(np.arange(3), "ints")  # integer input is still converted
+    assert p.value.dtype == np.float64
+    assert_array_equal(p.value, [0.0, 1.0, 2.0])
+
+
 def test_backward_linear_gradient():
     x = np.array([[2.0, -3.0, 0.5]])
     w = T.Parameter(np.ones((1, 3)), "w")

@@ -264,7 +264,7 @@ def test_adagrad_sliced_step_allocates_no_table_sized_temporary():
 def _sparse_and_dense_twins(rng):
     """Two equal copies of a [6, 5] table, its [5, 7] projection and bias."""
     values = (rng.normal(size=(6, 5)), rng.normal(size=(5, 7)), rng.normal(size=7))
-    return [[T.Parameter(v, name) for v, name in zip(values, ("emb", "w", "b"))]
+    return [[T.Parameter(v.copy(), name) for v, name in zip(values, ("emb", "w", "b"))]
             for _ in range(2)]
 
 
