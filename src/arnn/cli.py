@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .batching import MiniBatch
 from .config import REQUIRED, parse_config_file, resolve
-from .data import SessionDataset, preprocess, read_events, read_schema
+from .data import SessionDataset, preprocess, read_events, read_schema, replacing
 from .errors import (
     ConfigError,
     DataError,
@@ -77,7 +77,7 @@ def cmd_preprocess(cfg) -> int:
     train.save(os.path.join(cfg["out"], "train.json"))
     test.save(os.path.join(cfg["out"], "test.json"))
     text = "\n".join(summary.lines()) + "\n"
-    with open(os.path.join(cfg["out"], "summary.txt"), "w", encoding="utf-8") as fh:
+    with replacing(os.path.join(cfg["out"], "summary.txt")) as fh:
         fh.write(text)
     print(text, end="")
     return EXIT_OK
@@ -139,7 +139,7 @@ def cmd_train(cfg) -> int:
     result = run_stage(plan, dataset, cfg["out"],
                        gru_checkpoint=gru_ckpt, pnn_checkpoint=pnn_ckpt)
     history_path = os.path.join(cfg["out"], f"{cfg['stage']}_history.tsv")
-    with open(history_path, "w", encoding="utf-8") as fh:
+    with replacing(history_path) as fh:
         fh.write(history_tsv(result.history))
     print(f"stage {cfg['stage']}: checkpoint {result.checkpoint_path}, "
           f"best validation recall@{EVAL_K} "
@@ -190,7 +190,7 @@ def cmd_evaluate(cfg) -> int:
     print(report.format_table())
     if cfg["out"]:
         os.makedirs(os.path.dirname(cfg["out"]) or ".", exist_ok=True)
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
+        with replacing(cfg["out"]) as fh:
             fh.write(report.to_tsv())
     return EXIT_OK
 

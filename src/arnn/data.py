@@ -11,15 +11,22 @@ a new session (a gap equal to the threshold does not); popularity ties
 break by first-seen order; a user's context is taken from the session's
 first event, held constant for the whole session and stored once per session.
 
-A saved dataset is JSON Lines: the schema on line 1, then one session per
-line, so reading the schema parses no session.
+A saved dataset is JSON Lines: the schema and the number of sessions on
+line 1, then one session per line, so reading the schema reads no session
+and a file cut short at a line boundary does not load.
+
+Every output file is written through ``replacing``: to a temporary file
+that then replaces the target, so an interrupted write leaves the previous
+file intact.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import hashlib
 import json
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -174,13 +181,13 @@ class SessionDataset:
         return {item for s in self.sessions for item in s.items}
 
     def save(self, path) -> None:
-        """Write JSON Lines: the schema on line 1, then one
-        ``{"start", "context", "items"}`` session per line."""
-        lines = [self.schema.to_dict()] + [
+        """Write JSON Lines: the schema's keys and ``"sessions"``, their number,
+        on line 1, then one ``{"start", "context", "items"}`` session per line."""
+        lines = [{**self.schema.to_dict(), "sessions": len(self.sessions)}] + [
             {"start": s.start_time, "context": list(s.context), "items": s.items}
             for s in self.sessions
         ]
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path) as fh:
             fh.writelines(json.dumps(v, separators=(",", ":")) + "\n" for v in lines)
 
     @classmethod
@@ -191,9 +198,10 @@ class SessionDataset:
         is not one JSON value, or not an object with an integer ``start``, a
         ``context`` list of integer positions and an ``items`` list of
         integer indices, raises DataError naming the file and the session,
-        as does a session that the dataset itself rejects.
+        as does a session that the dataset itself rejects.  So does a number
+        of session lines other than line 1's count.
         """
-        schema, lines = _read_dataset(path)
+        schema, count, lines = _read_dataset(path, sessions=True)
         width, n_fields = schema.one_hot_length, len(schema.fields)
         raw_decode = json.JSONDecoder().raw_decode  # json.loads less its wrapper's cost
         sessions = []
@@ -222,33 +230,59 @@ class SessionDataset:
                 raise SchemaError(f"{path}: session {n}: field {min(empty)} "
                                   f"({schema.fields[min(empty)][0]!r}) has no position")
             sessions.append(Session(ctx, s["items"], s["start"]))
+        if len(sessions) != count:
+            raise DataError(f"{path}: {len(sessions)} session lines, but line 1 says "
+                            f"{count}: the file is cut short or has lines added")
         try:
             return cls(sessions=sessions, schema=schema)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
 
 
-def _read_dataset(path) -> tuple[FieldSchema, list[str]]:
-    """The schema from a saved dataset's first line, and its session lines unparsed.
+def _read_dataset(path, sessions: bool) -> tuple[FieldSchema, int, list[str]]:
+    """The schema and the session count from a saved dataset's first line,
+    and its session lines unparsed; with ``sessions=False`` none is read.
 
     A file that cannot be opened or decoded, or whose first line is not a
-    JSON schema, raises DataError.
+    JSON schema with a session count, raises DataError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            head, lines = fh.readline(), fh.readlines()
+            head = fh.readline()
+            lines = fh.readlines() if sessions else []
         doc = json.loads(head)
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: unreadable dataset: {exc}") from None
     try:
-        return FieldSchema.from_dict(doc), lines
+        schema, count = FieldSchema.from_dict(doc), doc["sessions"]
+        if type(count) is not int or count < 0:
+            raise ValueError(f"session count {count!r}")
+        return schema, count, lines
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: not a saved dataset: bad schema line: {exc!r}") from None
 
 
 def read_schema(path) -> FieldSchema:
-    """The schema of a saved dataset, from its first line; no session is parsed."""
-    return _read_dataset(path)[0]
+    """The schema of a saved dataset, from its first line; no other line is read."""
+    return _read_dataset(path, sessions=False)[0]
+
+
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """Open a temporary file beside `path` for writing (UTF-8 in a text mode).
+
+    When the block ends, the file replaces `path`; when the block raises, it
+    is removed and `path` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

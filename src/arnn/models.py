@@ -11,12 +11,12 @@ the composed ops), then FC -> ReLU -> batch norm producing the context
 feature vector; a score projection on top is used only for pretraining and
 the standalone baseline.
 
-ArnnModel: both networks as frozen feature extractors (score heads
-unused), a trainable merge layer (FC -> ReLU -> batch norm) over the
-concatenated features, and a fresh item-score projection.  During merge
-training only the merge layers and the encoder's batch-norm scale/shift
-receive optimizer updates; the encoder's batch-norm running statistics
-keep updating as well.
+ArnnModel: both networks as frozen feature extractors (their score heads,
+``ArnnModel.frozen_heads``, unused), a trainable merge layer (FC -> ReLU ->
+batch norm) over the concatenated features, and a fresh item-score
+projection.  During merge training only the merge layers and the encoder's
+batch-norm scale/shift receive optimizer updates; the encoder's batch-norm
+running statistics keep updating as well.
 
 Training, evaluation and ``recommend`` drive every model, and the item-KNN
 baseline, through one protocol: a ``kind`` name, ``reset(n_lanes)`` before
@@ -29,6 +29,8 @@ reference.
 
 Each constructor draws its weight tables from ``rng``, or leaves them zero
 without one; ``load_checkpoint`` then gives the model the archive's arrays.
+A loaded ``arnn`` model reads no frozen score head: those parameters hold
+no array, and ``save_checkpoint`` refuses the model.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import zipfile
 import numpy as np
 
 from . import tensor as T
-from .data import FieldSchema
+from .data import FieldSchema, replacing
 from .errors import CheckpointError, DataError, SchemaError, VocabularyError
 
 CHECKPOINT_VERSION = 3
@@ -293,6 +295,8 @@ class ArnnModel:
     """Frozen GRU and encoder under a trainable head; its tables from ``rng``, else zeros."""
 
     kind = "arnn"
+    # the frozen blocks' score heads, which no scoring path reads
+    frozen_heads = ("gru/out_weight", "gru/out_bias", "pnn/score_weight", "pnn/score_bias")
 
     def __init__(self, pnn: PnnEncoder, gru: GruSessionModel, merge_dim: int,
                  rng: np.random.Generator | None = None):
@@ -379,8 +383,12 @@ def save_checkpoint(path, model, schema_hash: str) -> None:
     archive is written to a temporary file in the same directory and then
     renamed over `path`, so an interrupted write leaves any previous
     checkpoint intact.  As with ``np.savez``, ``.npz`` is appended to a path
-    without it.
+    without it.  A model with a parameter that holds no array (an ``arnn``
+    model as loaded) raises CheckpointError before any file is opened.
     """
+    empty = [p.name for p in model.parameters() if p.value is None]
+    if empty:
+        raise CheckpointError(f"{path}: cannot save a model loaded without {empty}")
     arrays = _members(model)
     meta = {
         "format_version": CHECKPOINT_VERSION,
@@ -394,15 +402,8 @@ def save_checkpoint(path, model, schema_hash: str) -> None:
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with replacing(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def read_raw_tensor_bytes(path) -> dict[str, bytes]:
@@ -418,21 +419,34 @@ def read_raw_tensor_bytes(path) -> dict[str, bytes]:
     return out
 
 
-def _fill(model, stored: dict, path) -> None:
-    for key, target in _members(model).items():
-        name = key.partition("/")[2]
-        if key not in stored:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
-        if stored[key].shape != target.shape or stored[key].dtype != target.dtype:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {stored[key].shape} and dtype "
-                f"{stored[key].dtype}, expected {target.shape} and {target.dtype}")
-        if not np.isfinite(stored[key]).all():  # training never saves NaN or Inf
-            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or Inf")
-        if key.startswith("state/"):  # running statistics: the batch-norm layer's arrays
-            target[...] = stored[key]
-    for p in model.parameters():  # the archive's arrays become the tables
-        p.value = np.asarray(stored[f"param/{p.name}"], order="C")
+def _read(zf, key: str, target: np.ndarray, path) -> np.ndarray:
+    """Member `key` of the open archive, checked against `target`'s shape and dtype."""
+    name = key.partition("/")[2]
+    if key not in zf.files:
+        raise CheckpointError(f"{path}: missing tensor {name!r}")
+    stored = zf[key]
+    if stored.shape != target.shape or stored.dtype != target.dtype:
+        raise CheckpointError(
+            f"{path}: tensor {name!r} has shape {stored.shape} and dtype "
+            f"{stored.dtype}, expected {target.shape} and {target.dtype}")
+    if not np.isfinite(stored).all():  # training never saves NaN or Inf
+        raise CheckpointError(f"{path}: tensor {name!r} holds NaN or Inf")
+    return stored
+
+
+def _fill(model, zf, path) -> None:
+    """The archive's arrays become the model's tables, and its running
+    statistics are copied into the batch-norm layers' arrays.  An ``arnn``
+    model's frozen heads are only checked to be present, and hold no array."""
+    unread = ArnnModel.frozen_heads if isinstance(model, ArnnModel) else ()
+    for p in model.parameters():
+        key = f"param/{p.name}"
+        if p.name in unread and key in zf.files:  # a missing head is reported by _read
+            p.value = None
+        else:
+            p.value = np.asarray(_read(zf, key, p.value, path), order="C")
+    for name, arr in model.state_arrays().items():
+        arr[...] = _read(zf, f"state/{name}", arr, path)
 
 
 # model kind -> builder from the stored hyperparameters
@@ -448,29 +462,34 @@ def load_checkpoint(path, expected_schema_hash: str | None = None,
                     expected_kind: str | None = None):
     """Rebuild a model from a checkpoint; the archive's arrays become its tables.
 
-    Any mismatch, or a file that is not a readable archive with a JSON meta
-    member (missing, truncated, or not an archive at all), raises CheckpointError.
+    Only the members the model scores with are read: an ``arnn`` model
+    leaves its frozen blocks' score heads (``ArnnModel.frozen_heads``)
+    unread, with no array, and ``save_checkpoint`` refuses it.  Any
+    mismatch, a missing member, or a file that is not a readable archive
+    with a JSON meta member (missing, truncated, or not an archive at all),
+    raises CheckpointError.
     """
     try:
         with np.load(path) as zf:
-            stored = {k: zf[k] for k in zf.files}
-        meta = json.loads(bytes(stored.pop("meta")))
-        version, kind = meta["format_version"], meta["kind"]
-        schema_hash, hp = meta["schema_hash"], meta["hyperparameters"]
+            meta = json.loads(bytes(zf["meta"]))
+            version, kind = meta["format_version"], meta["kind"]
+            schema_hash, hp = meta["schema_hash"], meta["hyperparameters"]
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointError(f"{path}: unsupported format {version}")
+            if expected_schema_hash is not None and schema_hash != expected_schema_hash:
+                raise CheckpointError(
+                    f"{path}: schema hash {schema_hash[:12]}... does not match "
+                    f"the dataset's {expected_schema_hash[:12]}..."
+                )
+            if expected_kind is not None and kind != expected_kind:
+                raise CheckpointError(
+                    f"{path}: checkpoint is {kind!r}, expected {expected_kind!r}")
+            try:
+                model = KINDS[kind](**hp)
+            except (KeyError, TypeError, ValueError, DataError) as exc:
+                raise CheckpointError(
+                    f"{path}: cannot build a {kind!r} model: {exc!r}") from exc
+            _fill(model, zf, path)
     except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format {version}")
-    if expected_schema_hash is not None and schema_hash != expected_schema_hash:
-        raise CheckpointError(
-            f"{path}: schema hash {schema_hash[:12]}... does not match "
-            f"the dataset's {expected_schema_hash[:12]}..."
-        )
-    if expected_kind is not None and kind != expected_kind:
-        raise CheckpointError(f"{path}: checkpoint is {kind!r}, expected {expected_kind!r}")
-    try:
-        model = KINDS[kind](**hp)
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise CheckpointError(f"{path}: cannot build a {kind!r} model: {exc!r}") from exc
-    _fill(model, stored, path)
     return model

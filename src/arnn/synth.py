@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import DELIMITER, MULTI_DELIMITER, RawEvent
+from .data import DELIMITER, MULTI_DELIMITER, RawEvent, replacing
 from .errors import ConfigError
 
 BASE_TIMESTAMP = 1_600_000_000
@@ -141,7 +141,7 @@ def expected_next(truth: dict, attributes: dict[str, list[str]], prev_item: str)
 
 
 def write_events(events: list[RawEvent], path, field_names: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(DELIMITER.join(["user_id", "item_id", "timestamp"] + field_names) + "\n")
         for e in events:
             cells = [e.user_id, e.item_id, str(e.timestamp)]
@@ -150,5 +150,5 @@ def write_events(events: list[RawEvent], path, field_names: list[str]) -> None:
 
 
 def write_truth(truth: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)

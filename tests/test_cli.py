@@ -1,5 +1,7 @@
+import builtins
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from arnn import tensor as T
 from arnn.cli import main, softmax
 from arnn.data import SessionDataset, read_schema
 from arnn.evaluate import top_k_items
-from arnn.models import load_checkpoint
+from arnn.models import ArnnModel, load_checkpoint
+from arnn.synth import GeneratorSpec, generate, write_events, write_truth
 from util import edit_dataset
 
 
@@ -720,3 +723,118 @@ def test_recommend_repeated_attribute_field_exits_2(synth_dir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert _one_line(captured.err, "configuration error: field 'f0' given twice")
+
+
+def test_evaluate_on_a_cut_dataset_exits_3(synth_dir, tmp_path, capsys):
+    lines = (synth_dir["data"] / "test.json").read_text().splitlines(keepends=True)
+    cut = tmp_path / "test.json"
+    cut.write_text("".join(lines[:3]))  # as `head -n 3` cuts it
+    assert main(["evaluate", "--data", str(cut), "--systems", "itemknn",
+                 "--train-data", str(synth_dir["data"] / "train.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err, f"data error: {cut}: 2 session lines, "
+                                   f"but line 1 says {len(lines) - 1}")
+
+
+@pytest.mark.parametrize("head", ArnnModel.frozen_heads)
+def test_merge_checkpoint_without_a_frozen_head_exits_3(synth_dir, tmp_path, capsys, head):
+    # the load reads no frozen head, but it still checks that each is there
+    stored = dict(np.load(synth_dir["ckpt"] / "merge.npz"))
+    del stored[f"param/{head}"]
+    bad = tmp_path / "merge.npz"
+    np.savez(bad, **stored)
+    data = str(synth_dir["data"] / "train.json")
+    for argv in (["evaluate", "--data", str(synth_dir["data"] / "test.json"),
+                  "--checkpoints", str(tmp_path), "--systems", "arnn"],
+                 ["recommend", "--checkpoint", str(bad), "--data", data,
+                  "--items", read_schema(data).item_vocabulary[0]]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line(captured.err, f"data error: {bad}: missing tensor '{head}'")
+
+
+class _TornFile:
+    """A file open for writing whose every write stops halfway with OSError."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _write_dataset(dirs, target):
+    SessionDataset.load(dirs["data"] / "train.json").save(target)
+
+
+def _write_events(dirs, target):
+    events, truth = generate(GeneratorSpec(n_sessions=20, seed=1))
+    write_events(events, target, truth["field_names"])
+
+
+def _write_truth(dirs, target):
+    write_truth(generate(GeneratorSpec(n_sessions=20, seed=1))[1], target)
+
+
+def _write_history(dirs, target):
+    main(["train", "--stage", "gru", "--data", str(dirs["data"] / "train.json"),
+          "--out", str(target.parent), "--epochs", "1"])
+
+
+def _write_report(dirs, target):
+    main(["evaluate", "--data", str(dirs["data"] / "test.json"), "--systems", "itemknn",
+          "--train-data", str(dirs["data"] / "train.json"), "--out", str(target)])
+
+
+def _write_summary(dirs, target):
+    main(["preprocess", "--input", str(dirs["raw"] / "events.tsv"),
+          "--out", str(target.parent), "--item-coverage", "1.0"])
+
+
+# output file name -> a call that writes it; checkpoints have a test of their own
+_WRITERS = {
+    "train.json": _write_dataset,
+    "events.tsv": _write_events,
+    "truth.json": _write_truth,
+    "gru_history.tsv": _write_history,
+    "report.tsv": _write_report,
+    "summary.txt": _write_summary,
+}
+
+
+@pytest.mark.parametrize("name", _WRITERS)
+def test_a_write_that_fails_halfway_keeps_the_previous_file(synth_dir, tmp_path,
+                                                            monkeypatch, name):
+    target = tmp_path / "out" / name
+    target.parent.mkdir()
+    target.write_bytes(b"previous\n")
+    real_open = builtins.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        # the target, or a temporary file beside it
+        if "w" in mode and os.fspath(file).startswith(str(target)):
+            return _TornFile(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", torn_open)
+    with pytest.raises(OSError, match="disk full"):
+        _WRITERS[name](synth_dir, target)
+    assert target.read_bytes() == b"previous\n"
+    assert not [p.name for p in target.parent.iterdir() if p.name.endswith(".tmp")]

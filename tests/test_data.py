@@ -365,9 +365,9 @@ def test_dataset_file_round_trip(tmp_path):
     assert [(s.start_time, s.context, s.items) for s in loaded.sessions] == [
         (100, (0,), [1, 2]), (7, (1,), [0, 4, 2])
     ]
-    # JSON Lines: the schema, then one compact session per line
+    # JSON Lines: the schema and the session count, then one compact session per line
     assert path.read_text().splitlines() == [
-        json.dumps(schema.to_dict(), separators=(",", ":")),
+        json.dumps({**schema.to_dict(), "sessions": 2}, separators=(",", ":")),
         '{"start":100,"context":[0],"items":[1,2]}',
         '{"start":7,"context":[1],"items":[0,4,2]}',
     ]
@@ -405,6 +405,36 @@ def test_read_schema_parses_no_session(tmp_path):
     assert D.read_schema(path).hash() == _schema(5).hash()
     with pytest.raises(DataError, match=f"^{path}: session 0: not JSON"):
         D.SessionDataset.load(path)
+
+
+def test_read_schema_reads_line_1_only(tmp_path):
+    path = tmp_path / "ds.json"
+    # a session line far longer than one read buffer, then a line that is not UTF-8
+    D.SessionDataset([D.Session((0,), [1, 2] * 50_000, 100)], _schema(5)).save(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe{\n")
+    assert D.read_schema(path).hash() == _schema(5).hash()
+    with pytest.raises(DataError, match=f"^{path}: unreadable dataset"):
+        D.SessionDataset.load(path)
+
+
+def test_dataset_cut_or_grown_at_a_line_boundary_does_not_load(tmp_path):
+    path = tmp_path / "ds.json"
+    sessions = [D.Session((n % 2,), [n % 5, (n + 1) % 5], n) for n in range(4)]
+    D.SessionDataset(sessions, _schema(5)).save(path)
+    lines = _session_lines(path)
+    assert json.loads(lines[0])["sessions"] == 4
+    for keep in range(1, len(lines)):  # line 1 and the first keep - 1 sessions
+        path.write_text("".join(lines[:keep]))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {keep - 1} "
+                                            f"session lines, but line 1 says 4"):
+            D.SessionDataset.load(path)
+        assert D.read_schema(path).hash() == _schema(5).hash()
+    path.write_text("".join(lines + lines[1:2]))
+    with pytest.raises(DataError, match="5 session lines, but line 1 says 4"):
+        D.SessionDataset.load(path)
+    path.write_text("".join(lines))
+    assert len(D.SessionDataset.load(path).sessions) == 4
 
 
 def _session_lines(path):
@@ -464,6 +494,12 @@ _NOT_DATASETS = {
     "top level list": b"[1, 2]",
     "sessions not a list": b'{"schema": {"fields": [], "item_vocabulary": []}, "sessions": 1}',
     "bad schema": b'{"schema": 1, "sessions": []}',
+    # the layout of a schema line without its session count
+    "no session count": b'{"fields": [["a", ["x"]]], "item_vocabulary": ["i0", "i1"]}\n',
+    "session count not an integer":
+        b'{"fields": [["a", ["x"]]], "item_vocabulary": ["i0", "i1"], "sessions": "0"}\n',
+    "negative session count":
+        b'{"fields": [["a", ["x"]]], "item_vocabulary": ["i0", "i1"], "sessions": -1}\n',
 }
 
 # a saved dataset's second session, malformed; only `load` reads sessions

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -452,6 +453,31 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _unread(model, p) -> bool:
+    """Whether a load leaves parameter `p` of `model` unread."""
+    return model.kind == "arnn" and p.name in ArnnModel.frozen_heads
+
+
+def _npy_bytes(a) -> bytes:
+    """An array's bytes as ``np.savez`` stores them, header included."""
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+def _assert_loaded_tables(model, loaded, path):
+    """Every table the load read has the saved bits; every table it left
+    unread holds no array, and the archive holds the saved bits for it."""
+    raw = read_raw_tensor_bytes(path)
+    for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
+        assert p.name == q.name
+        if _unread(model, p):
+            assert q.value is None, p.name
+            assert raw[f"param/{p.name}"] == _npy_bytes(p.value), p.name
+        else:
+            assert _same_bits(p.value, q.value), p.name
+
+
 def test_checkpoint_round_trip_each_kind(tmp_path):
     schema_hash = "a" * 64
     for build in SEEDED.values():
@@ -459,10 +485,9 @@ def test_checkpoint_round_trip_each_kind(tmp_path):
         path = tmp_path / f"{model.kind}.npz"
         save_checkpoint(path, model, schema_hash)
         loaded = load_checkpoint(path, schema_hash, model.kind)
+        _assert_loaded_tables(model, loaded, path)
         for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
-            assert p.name == q.name
             assert p.frozen == q.frozen, p.name
-            assert _same_bits(p.value, q.value), p.name
         assert model.state_arrays().keys() == loaded.state_arrays().keys()
         for name, arr in model.state_arrays().items():
             assert _same_bits(arr, loaded.state_arrays()[name]), name
@@ -492,14 +517,14 @@ def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, kind):
     # no generator may be made at all
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     loaded = load_checkpoint(path, "a" * 64, kind)
-    for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
-        assert _same_bits(p.value, q.value), p.name
+    _assert_loaded_tables(model, loaded, path)
 
 
 @pytest.mark.parametrize("kind", SEEDED)
 def test_checkpoint_load_keeps_the_arrays_it_read(tmp_path, monkeypatch, kind):
     path = tmp_path / f"{kind}.npz"
-    save_checkpoint(path, SEEDED[kind](), "a" * 64)
+    model = SEEDED[kind]()
+    save_checkpoint(path, model, "a" * 64)
     read = {}
     original = np.lib.npyio.NpzFile.__getitem__
 
@@ -509,8 +534,32 @@ def test_checkpoint_load_keeps_the_arrays_it_read(tmp_path, monkeypatch, kind):
 
     monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
     loaded = load_checkpoint(path, "a" * 64, kind)
+    # every member once, but none of an arnn model's four frozen heads: merge
+    # training loads gru and pnn checkpoints and saves their heads again
+    unread = {f"param/{p.name}" for p in model.parameters() if _unread(model, p)}
+    assert len(unread) == (4 if kind == "arnn" else 0)
+    assert sorted(read) == sorted(set(np.load(path).files) - unread)
     for p in loaded.parameters():
-        assert p.value is read[f"param/{p.name}"], p.name
+        if not _unread(loaded, p):
+            assert p.value is read[f"param/{p.name}"], p.name
+    _assert_loaded_tables(model, loaded, path)
+
+
+def test_loaded_arnn_model_cannot_be_saved(tmp_path):
+    path = tmp_path / "arnn.npz"
+    save_checkpoint(path, SEEDED["arnn"](), "a" * 64)
+    loaded = load_checkpoint(path, "a" * 64, "arnn")
+    out = tmp_path / "out" / "again.npz"
+    out.parent.mkdir()
+    with pytest.raises(CheckpointError, match="cannot save a model loaded without"):
+        save_checkpoint(out, loaded, "a" * 64)
+    assert list(out.parent.iterdir()) == []
+    # nor over an existing checkpoint, which stays as it was
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError):
+        save_checkpoint(path, loaded, "a" * 64)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arnn.npz", "out"]
 
 
 def test_checkpoint_member_in_fortran_order_loads_c_contiguous(tmp_path):

@@ -94,8 +94,10 @@ def edit_dataset(src, dst, edit):
 
     `schema` is the parsed schema line and `sessions` the list of parsed
     session lines; edit changes them in place.  dst gets one JSON value per
-    line, the layout that `SessionDataset.save` writes.
+    line, the layout that `SessionDataset.save` writes, with the schema
+    line's session count set to the number of sessions after the edit.
     """
     schema, *sessions = [json.loads(line) for line in Path(src).read_text().splitlines()]
     edit(schema, sessions)
+    schema["sessions"] = len(sessions)
     Path(dst).write_text("".join(json.dumps(v) + "\n" for v in [schema, *sessions]))
