@@ -30,13 +30,6 @@ class MiniBatch:
     lanes: np.ndarray             # int [n]; each row's lane, ascending
 
 
-def negatives_for(batch: MiniBatch, row: int) -> np.ndarray:
-    """Other rows' targets, minus collisions with this row's target."""
-    keep = batch.target_items != batch.target_items[row]
-    keep[row] = False
-    return np.unique(batch.target_items[keep])
-
-
 class SessionParallelIterator:
     """One epoch of session-parallel batches over a dataset.
 

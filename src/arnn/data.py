@@ -11,6 +11,13 @@ a new session (a gap equal to the threshold does not); popularity ties
 break by first-seen order; a user's context is taken from the session's
 first event, held constant for the whole session and stored once per session.
 
+Events share their parsed cells: ``read_events`` gives every event whose
+attribute cells have the same text one attributes dict, and equal user or
+item ids one string.  A shared attributes dict is read-only, apart from
+``cap_multivalued``'s rewrite.  The stages whose result does not depend on
+how many events carry an attributes dict (field names, the multi-valued
+scan, the schema, the encoding) visit each distinct dict once.
+
 A saved dataset is JSON Lines: the schema and the number of sessions on
 line 1, then one session per line, so reading the schema reads no session
 and a file cut short at a line boundary does not load.
@@ -45,8 +52,17 @@ MULTI_DELIMITER = "|"
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips around a value
 
 
-@dataclass
+@dataclass(slots=True)
 class RawEvent:
+    """One logged interaction and its user's context attributes.
+
+    Events may share one ``attributes`` dict: ``read_events`` gives every
+    event with the same attribute cells one dict, and ``synth.generate``
+    gives the events of a session one.  So the dict and its lists are
+    read-only; a changed context needs a new dict.  Only ``cap_multivalued``
+    rewrites them in place (see there).
+    """
+
     user_id: str
     item_id: str
     timestamp: int
@@ -293,8 +309,11 @@ def read_events(path) -> list[RawEvent]:
     """Parse a tab-separated event log with a header row.
 
     Columns: user_id, item_id, timestamp, then one column per context field.
-    Multi-valued attributes separate values with ``|``; empty cells mean no
-    value.
+    The timestamp is plain ASCII decimal digits.  Multi-valued attributes
+    separate values with ``|``; empty cells mean no value.  Each distinct
+    row of attribute cells is parsed once: the events whose cells have the
+    same text share one attributes dict, read-only (see ``RawEvent``), and
+    equal ids are one string.
     A file that cannot be opened or decoded as UTF-8 raises DataError.
     """
     try:
@@ -302,6 +321,11 @@ def read_events(path) -> list[RawEvent]:
             return _parse_events(fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: unreadable events file: {exc}") from None
+
+
+def _is_digits(text: str) -> bool:
+    """Only ASCII 0-9, at least one: no sign, space, ``_`` or other script's digit."""
+    return text.isascii() and text.isdigit()
 
 
 def _parse_events(fh, path) -> list[RawEvent]:
@@ -318,36 +342,46 @@ def _parse_events(fh, path) -> list[RawEvent]:
     if repeated:
         raise ParseError(f"{path}:1: header names a column more than once: {repeated}")
     field_names = cols[3:]
+    # the attribute cells' text (None: no cells) -> their parsed dict; id -> one string
+    rows: dict[str | None, dict[str, list[str]]] = {}
+    ids: dict[str, str] = {}
     for lineno, line in enumerate(fh, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
-        parts = line.split(DELIMITER)
-        if len(parts) != len(cols):
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(cols)} columns, got {len(parts)}"
-            )
+        parts = line.split(DELIMITER, 3)
+        cells = parts[3] if len(parts) == 4 else None
+        # a row seen before had the right column count; fewer than 3 parts never has
+        attrs = rows.get(cells) if len(parts) >= 3 else None
+        if attrs is None:
+            values = [] if cells is None else cells.split(DELIMITER)
+            n_cols = min(len(parts), 3) + len(values)
+            if n_cols != len(cols):
+                raise ParseError(f"{path}:{lineno}: expected {len(cols)} columns, got {n_cols}")
+            attrs = rows[cells] = {
+                name: [v for v in cell.split(MULTI_DELIMITER) if v] if cell else []
+                for name, cell in zip(field_names, values)}
         user_id, item_id, ts_raw = parts[0], parts[1], parts[2]
         if not item_id:
             raise ParseError(f"{path}:{lineno}: empty item_id")
-        try:
-            ts = int(ts_raw)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad timestamp {ts_raw!r}") from None
-        if ts < 0:
-            raise ParseError(f"{path}:{lineno}: negative timestamp {ts}")
-        attrs = {}
-        for name, cell in zip(field_names, parts[3:]):
-            values = [v for v in cell.split(MULTI_DELIMITER) if v] if cell else []
-            attrs[name] = values
-        events.append(RawEvent(user_id, item_id, ts, attrs))
+        if not _is_digits(ts_raw):
+            if ts_raw[:1] == "-" and _is_digits(ts_raw[1:]):
+                raise ParseError(f"{path}:{lineno}: negative timestamp {ts_raw}")
+            raise ParseError(f"{path}:{lineno}: bad timestamp {ts_raw!r}")
+        events.append(RawEvent(ids.setdefault(user_id, user_id),
+                               ids.setdefault(item_id, item_id), int(ts_raw), attrs))
     return events
+
+
+def _distinct_attributes(events: list[RawEvent]) -> list[dict[str, list[str]]]:
+    """Each distinct attributes dict of the events, once, in first-seen order."""
+    return list({id(e.attributes): e.attributes for e in events}.values())
 
 
 def field_names_of(events: list[RawEvent]) -> list[str]:
     names: list[str] = []
-    for e in events:
-        for name in e.attributes:
+    for attributes in _distinct_attributes(events):
+        for name in attributes:
             if name not in names:
                 names.append(name)
     return names
@@ -425,9 +459,13 @@ def cap_multivalued(events: list[RawEvent], field_name: str, coverage: float
                     ) -> tuple[list[RawEvent], list[str]]:
     """Keep a field's most popular categories up to the coverage fraction.
 
-    Categories outside the kept prefix are rewritten to ``unknown`` in
-    place; duplicate unknowns within one event collapse.  Returns the same
-    event list and the kept category names (popularity order).
+    Categories are counted per event.  Categories outside the kept prefix
+    are rewritten to ``unknown`` in place; duplicate unknowns within one
+    event collapse.  Each distinct attributes dict is rewritten once, and
+    every event that shares it sees that rewrite: the one a rewrite per
+    event would give, since equal cells get equal rewrites and a second
+    rewrite changes nothing.  Returns the same event list and the kept
+    category names (popularity order).
     """
     if not 0 < coverage <= 1:
         raise DataError(f"category coverage must be in (0, 1], got {coverage}")
@@ -444,8 +482,8 @@ def cap_multivalued(events: list[RawEvent], field_name: str, coverage: float
         raise SchemaError(f"unknown field {field_name!r}")
     kept = _coverage_prefix(counts, first_seen, coverage)
     kept_set = set(kept)
-    for e in events:
-        values = e.attributes.get(field_name)
+    for attributes in _distinct_attributes(events):
+        values = attributes.get(field_name)
         if not values:
             continue
         rewritten = []
@@ -453,7 +491,7 @@ def cap_multivalued(events: list[RawEvent], field_name: str, coverage: float
             v = v if v in kept_set else UNKNOWN
             if v not in rewritten:
                 rewritten.append(v)
-        e.attributes[field_name] = rewritten
+        attributes[field_name] = rewritten
     return events, kept
 
 
@@ -465,16 +503,22 @@ def build_schema(events: list[RawEvent], field_names: list[str],
     layout is independent of event order.
     """
     observed: dict[str, set[str]] = {name: set() for name in field_names}
-    for e in events:
+    for attributes in _distinct_attributes(events):
         for name in field_names:
-            observed[name].update(v for v in e.attributes.get(name, []) if v != UNKNOWN)
+            observed[name].update(v for v in attributes.get(name, []) if v != UNKNOWN)
     fields = [(name, sorted(observed[name]) + [UNKNOWN]) for name in field_names]
     return FieldSchema(fields, item_vocabulary)
 
 
 def encode_sessions(event_sessions: list[list[RawEvent]], schema: FieldSchema) -> list[Session]:
-    """Encode raw-event sessions; the first event's context covers all steps."""
-    return [Session(schema.encode(run[0].attributes),
+    """Encode raw-event sessions; the first event's context covers all steps.
+
+    Each distinct attributes dict is encoded once, and its sessions share
+    the position tuple.
+    """
+    contexts = {id(a): schema.encode(a)
+                for a in _distinct_attributes([run[0] for run in event_sessions])}
+    return [Session(contexts[id(run[0].attributes)],
                     [schema.item_index(e.item_id) for e in run], run[0].timestamp)
             for run in event_sessions]
 
@@ -566,9 +610,8 @@ def preprocess(events: list[RawEvent], gap_threshold: float, item_coverage: floa
     if not flat:
         raise DataError("item sampling removed every session")
 
-    multi_valued = {
-        name for e in flat for name, values in e.attributes.items() if len(values) > 1
-    }
+    multi_valued = {name for attributes in _distinct_attributes(flat)
+                    for name, values in attributes.items() if len(values) > 1}
     for name in field_names:
         if name in multi_valued:
             cap_multivalued(flat, name, category_coverage)

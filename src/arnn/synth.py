@@ -75,7 +75,11 @@ def _category(c: int) -> str:
 
 
 def generate(spec: GeneratorSpec) -> tuple[list[RawEvent], dict]:
-    """Return the raw event log and the ground-truth description."""
+    """Return the raw event log and the ground-truth description.
+
+    The events of a session share one attributes dict, which is read-only
+    (see ``RawEvent``).
+    """
     rng = np.random.default_rng(spec.seed)
     per_layer = spec.n_items // spec.n_fields
     layer_of = [i // per_layer for i in range(spec.n_items)]
@@ -101,8 +105,7 @@ def generate(spec: GeneratorSpec) -> tuple[list[RawEvent], dict]:
         item = int(rng.integers(spec.n_items))
         user = f"u{s:05d}"
         for t in range(length):
-            events.append(RawEvent(user, _item_id(item), start + t * STEP_SECONDS,
-                                   {k: list(v) for k, v in attributes.items()}))
+            events.append(RawEvent(user, _item_id(item), start + t * STEP_SECONDS, attributes))
             if spec.informative:
                 bit = int(bits[layer_of[item]])
             else:
@@ -131,22 +134,19 @@ def generate(spec: GeneratorSpec) -> tuple[list[RawEvent], dict]:
     return events, truth
 
 
-def expected_next(truth: dict, attributes: dict[str, list[str]], prev_item: str) -> str:
-    """Ground-truth next item for a context and previous item (informative mode)."""
-    layer = truth["layer_of_item"][prev_item]
-    field = truth["field_names"][layer]
-    category = attributes[field][0]
-    bit = truth["bit_of_category"][category]
-    return truth["successors"][prev_item][bit]
-
-
 def write_events(events: list[RawEvent], path, field_names: list[str]) -> None:
+    """Write the event log that ``read_events`` reads; each distinct
+    attributes dict's cells are joined once."""
+    cells: dict[int, str] = {}  # id of an attributes dict -> its cells, each after a tab
     with replacing(path) as fh:
         fh.write(DELIMITER.join(["user_id", "item_id", "timestamp"] + field_names) + "\n")
         for e in events:
-            cells = [e.user_id, e.item_id, str(e.timestamp)]
-            cells += [MULTI_DELIMITER.join(e.attributes.get(name, [])) for name in field_names]
-            fh.write(DELIMITER.join(cells) + "\n")
+            row = cells.get(id(e.attributes))
+            if row is None:
+                row = cells[id(e.attributes)] = "".join(
+                    DELIMITER + MULTI_DELIMITER.join(e.attributes.get(name, []))
+                    for name in field_names)
+            fh.write(DELIMITER.join([e.user_id, e.item_id, str(e.timestamp)]) + row + "\n")
 
 
 def write_truth(truth: dict, path) -> None:

@@ -97,6 +97,7 @@ def top1_batch_loss(logits: T.Tensor, own) -> T.Tensor | None:
 # optimizer
 
 ADAGRAD_EPS = 1e-10
+DECAY_BLOCK = 16384  # entries per block of the weight-decay pass over a sliced table
 
 
 class Adagrad:
@@ -110,9 +111,10 @@ class Adagrad:
     Only the entries backward wrote into (``Parameter.touched``) go through
     that formula, with the same operations as a dense step.  Every other
     entry has g = 0, where the formula leaves acc as it is and reduces to
-    value -= lr * wd * value: one dense pass when wd > 0, nothing when wd = 0
-    (the same values; only a -0.0 entry could come out as +0.0).  Temporaries
-    go to two preallocated arrays, so a step allocates nothing table-sized.
+    value -= lr * wd * value: one pass when wd > 0, over blocks of whole rows
+    of about ``DECAY_BLOCK`` entries, nothing when wd = 0 (the same values;
+    only a -0.0 entry could come out as +0.0).  Temporaries go to two
+    preallocated arrays, so a step allocates nothing table-sized.
     """
 
     def __init__(self, params, learning_rate: float, weight_decay: float = 0.0):
@@ -151,8 +153,12 @@ class Adagrad:
                 if where is not ...:
                     p.accumulator[where] = acc
                     if wd > 0:
-                        decay = self._scratch[0, :p.value.size].reshape(p.value.shape)
-                        p.value -= np.multiply(p.value, lr * wd, out=decay)
+                        row = max(1, p.value.size // max(1, len(p.value)))  # entries per row
+                        rows = max(1, DECAY_BLOCK // row)
+                        for i in range(0, len(p.value), rows):
+                            block = p.value[i:i + rows]
+                            decay = self._scratch[0, :block.size].reshape(block.shape)
+                            block -= np.multiply(block, lr * wd, out=decay)
                     p.value[where] = value
             p.zero_grad()
 

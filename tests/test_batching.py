@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from arnn.batching import MiniBatch, SessionParallelIterator, negatives_for
+from arnn.batching import MiniBatch, SessionParallelIterator
 from arnn.data import FieldSchema, Session, SessionDataset
 from arnn.errors import ConfigError
+from reference import negatives_for
 
 
 def make_dataset(item_lists, n_items=10):

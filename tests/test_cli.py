@@ -386,6 +386,22 @@ def test_preprocess_repeated_header_column_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stamp, message", [
+    ("1_600", "bad timestamp '1_600'"), ("１２", "bad timestamp '１２'"),
+    ("-12", "negative timestamp -12"),
+])
+def test_preprocess_timestamp_not_plain_digits_exits_3(tmp_path, capsys, stamp, message):
+    events = tmp_path / "events.tsv"
+    events.write_text("user_id\titem_id\ttimestamp\n" + "".join(
+        f"u{k % 2}\ti{k % 3}\t{100 * k}\n" for k in range(6)) + f"u0\ti0\t{stamp}\n",
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["preprocess", "--input", str(events), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert _one_line(err, "data error: ") and f"events.tsv:8: {message}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["gap_threshold_seconds", "test_window_days"])
 @pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
 def test_preprocess_nan_or_negative_setting_exits_2(tmp_path, capsys, key, value):

@@ -1,5 +1,7 @@
 import json
 import re
+import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,18 @@ def test_cap_multivalued_collapses_duplicate_unknown():
     events.append(ev("u", "i", 8, jobroles=["z", "z2"]))
     D.cap_multivalued(events, "jobroles", 0.75)
     assert events[-1].attributes["jobroles"] == [D.UNKNOWN]
+
+
+def test_cap_multivalued_on_shared_attributes_matches_copies():
+    rows = [{"j": ["x", "z", "z2"]}, {"j": ["y"]}, {"j": ["x", "y", "z"]}, {"j": []}, {"k": ["z"]}]
+    pattern = [0, 0, 1, 2, 0, 3, 1, 1, 2, 0, 4, 2]
+    shared = [D.RawEvent("u", "i", t, rows[k]) for t, k in enumerate(pattern)]
+    copies = [ev("u", "i", t, **rows[k]) for t, k in enumerate(pattern)]
+    assert D.cap_multivalued(shared, "j", 0.6)[1] == D.cap_multivalued(copies, "j", 0.6)[1]
+    assert [e.attributes for e in shared] == [e.attributes for e in copies]
+    assert shared[0].attributes == {"j": ["x", "z", D.UNKNOWN]}
+    # the rewrite went into the shared dicts
+    assert shared[0].attributes is shared[1].attributes is rows[0]
 
 
 def test_cap_multivalued_unknown_field():
@@ -348,6 +362,100 @@ def test_read_events_rejects_a_repeated_header_column(tmp_path, repeated):
     )
     with pytest.raises(ParseError, match=f"dup.tsv:1: .*more than once: \\['{repeated}'\\]"):
         D.read_events(p)
+
+
+@pytest.mark.parametrize("text", ["1_600", " 12", "12 ", "+12", "１２", "٣", "", "1e3", "12.0",
+                                  "-", "--12", "-+12", "-１２", "- 12"])
+def test_read_events_timestamp_is_ascii_digits(tmp_path, text):
+    p = tmp_path / "bad.tsv"
+    p.write_text(f"user_id\titem_id\ttimestamp\nu1\ti1\t100\nu1\ti2\t{text}\n",
+                 encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: bad timestamp "
+                                         f"{re.escape(repr(text))}$"):
+        D.read_events(p)
+
+
+@pytest.mark.parametrize("text", ["-12", "-0", "-007"])
+def test_read_events_negative_timestamp(tmp_path, text):
+    p = tmp_path / "bad.tsv"
+    p.write_text(f"user_id\titem_id\ttimestamp\nu1\ti1\t{text}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:2: negative timestamp {text}$"):
+        D.read_events(p)
+
+
+def test_read_events_reads_plain_digits(tmp_path):
+    p = tmp_path / "events.tsv"
+    p.write_text("user_id\titem_id\ttimestamp\nu\ta\t0\nu\tb\t007\nu\tc\t1600000000\n",
+                 encoding="utf-8")
+    assert [e.timestamp for e in D.read_events(p)] == [0, 7, 1600000000]
+
+
+@pytest.mark.parametrize("header, lines, got", [
+    ("", ["u\ti\t1", "u\ti"], 2),
+    ("", ["u\ti\t1", "u\ti\t2\t"], 4),
+    ("\tf0", ["u\ti\t1\ta", "u\ti\t2\ta\tb"], 5),
+    ("\tf0", ["u\ti\t1\ta", "u\ti\t2"], 3),
+    ("\tf0", ["u\ti\t1\ta", "u\ti"], 2),
+    ("\tf0\tf1", ["u\ti\t1\ta\tb", "u\ti\t2\ta\tb", "u\ti\t3\ta"], 4),
+])
+def test_read_events_counts_columns_after_a_row_it_has_seen(tmp_path, header, lines, got):
+    p = tmp_path / "cols.tsv"
+    p.write_text("".join(line + "\n" for line in [f"user_id\titem_id\ttimestamp{header}"] + lines),
+                 encoding="utf-8")
+    n = 3 + header.count("\t")
+    with pytest.raises(ParseError, match=f"cols.tsv:{len(lines) + 1}: expected {n} columns, got {got}$"):
+        D.read_events(p)
+
+
+def _parse_per_line(text):
+    """Events of a well-formed log, parsed a line at a time into new objects."""
+    head, *lines = text.splitlines()
+    names = head.split("\t")[3:]
+    events = []
+    for line in lines:
+        user_id, item_id, ts, *cells = line.split("\t")
+        events.append(D.RawEvent(user_id, item_id, int(ts), {
+            name: [v for v in cell.split("|") if v] for name, cell in zip(names, cells)}))
+    return events
+
+
+def test_read_events_shares_each_distinct_row(tmp_path):
+    # "F\ta|b" and "F\ta||b" parse equal, but their texts differ
+    rows = ["F\ta|b", "M\t", "F\ta|b", "\tunknown", "M\t", "F\ta||b", "\t"]
+    lines = [f"u{k % 3}x\ti{k % 4}x\t{100 + k}\t{rows[k % len(rows)]}" for k in range(60)]
+    text = "".join(line + "\n" for line in ["user_id\titem_id\ttimestamp\tg\tj"] + lines)
+    p = tmp_path / "events.tsv"
+    p.write_text(text, encoding="utf-8")
+    events = D.read_events(p)
+    assert events == _parse_per_line(text)
+    by_text = {}
+    for line, e in zip(lines, events):
+        assert by_text.setdefault(line.split("\t", 3)[3], e.attributes) is e.attributes
+    assert len({id(a) for a in by_text.values()}) == len(by_text) == 5
+    ids = {}
+    for e in events:
+        assert ids.setdefault(e.user_id, e.user_id) is e.user_id
+        assert ids.setdefault(e.item_id, e.item_id) is e.item_id
+    assert len(ids) == 3 + 4
+
+
+def test_read_events_holds_little_per_event(tmp_path):
+    # 5000 events of 1000 users over 50 distinct rows of six attribute cells
+    rows = ["\t".join(f"cat{(r >> k) % 4}" if k else f"cat{r}" for k in range(6))
+            for r in range(50)]
+    p = tmp_path / "events.tsv"
+    p.write_text("".join(
+        [f"user_id\titem_id\ttimestamp\t" + "\t".join(f"f{k}" for k in range(6)) + "\n"]
+        + [f"u{n // 5:05d}\titem{n % 60:03d}\t{1_600_000_000 + 60 * n}\t{rows[n // 5 % 50]}\n"
+           for n in range(5000)]), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        events = D.read_events(p)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 5000 and len({id(e.attributes) for e in events}) == 50
+    assert held / len(events) < 250
 
 
 def test_dataset_file_round_trip(tmp_path):
@@ -569,6 +677,48 @@ def test_preprocess_end_to_end():
     assert summary.n_context_fields == 1
     assert summary.n_train_sessions + summary.n_test_sessions == 8
     assert test.item_set() <= train.item_set()
+
+
+_CELLS = st.lists(st.sampled_from(["a", "b", "c", "d", D.UNKNOWN]), max_size=3).map("|".join)
+
+
+def _preprocessed(events, item_coverage, category_coverage):
+    """The saved train and test files and the summary, or the error's message."""
+    try:
+        train, test, summary = D.preprocess(
+            events, gap_threshold=3600, item_coverage=item_coverage,
+            category_coverage=category_coverage, test_window=2 * 86400)
+    except DataError as exc:
+        return type(exc), str(exc)
+    with tempfile.TemporaryDirectory() as root:
+        train.save(f"{root}/train.json")
+        test.save(f"{root}/test.json")
+        with open(f"{root}/train.json", "rb") as a, open(f"{root}/test.json", "rb") as b:
+            return a.read(), b.read(), summary.lines()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_preprocess_of_shared_events_saves_what_unshared_copies_save(data):
+    rows = data.draw(st.lists(st.tuples(_CELLS, _CELLS, _CELLS), min_size=1, max_size=5))
+    lines = ["user_id\titem_id\ttimestamp\tg\tj\tr"]
+    for u in range(data.draw(st.integers(3, 10))):
+        t = u * 86400
+        for _ in range(data.draw(st.integers(1, 6))):
+            t += data.draw(st.sampled_from([60, 600, 5000]))
+            row = "\t".join(data.draw(st.sampled_from(rows)))
+            lines.append(f"u{u}\ti{data.draw(st.integers(0, 7))}\t{t}\t{row}")
+    item_coverage = data.draw(st.sampled_from([0.7, 1.0]))
+    category_coverage = data.draw(st.sampled_from([0.3, 0.6, 0.9]))
+    with tempfile.TemporaryDirectory() as root:
+        with open(f"{root}/events.tsv", "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        shared = D.read_events(f"{root}/events.tsv")
+    copies = [D.RawEvent(e.user_id, e.item_id, e.timestamp,
+                         {k: list(v) for k, v in e.attributes.items()}) for e in shared]
+    assert len({id(e.attributes) for e in shared}) <= len(rows)
+    assert (_preprocessed(shared, item_coverage, category_coverage)
+            == _preprocessed(copies, item_coverage, category_coverage))
 
 
 def test_dataset_rejects_short_sessions():

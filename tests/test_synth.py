@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from arnn.errors import ConfigError
-from arnn.synth import GeneratorSpec, expected_next, generate
+from arnn.data import RawEvent
+from arnn.synth import GeneratorSpec, generate, write_events
+from reference import events_text, expected_next
 
 SPEC = GeneratorSpec(n_sessions=300, seed=4)
 
@@ -41,6 +43,24 @@ def test_context_is_constant_within_a_session():
     events, _ = generate(SPEC)
     for run in sessions_of(events):
         assert all(e.attributes == run[0].attributes for e in run)
+
+
+def test_a_sessions_events_share_one_attributes_dict():
+    events, _ = generate(SPEC)
+    runs = sessions_of(events)
+    assert all(e.attributes is run[0].attributes for run in runs for e in run)
+    assert len({id(run[0].attributes) for run in runs}) == len(runs)
+
+
+def test_write_events_matches_a_writer_per_event(tmp_path):
+    events, truth = generate(SPEC)
+    a, b = {"f0": ["x", "y"], "f1": []}, {"f1": ["z"]}
+    events += [RawEvent("v", "item000", 1, a), RawEvent("v", "item001", 2, b),
+               RawEvent("v", "item002", 3, a), RawEvent("w", "item002", 4, {})]
+    for names in (truth["field_names"], [], ["f1", "f0"]):
+        path = tmp_path / "events.tsv"
+        write_events(events, path, names)
+        assert path.read_text(encoding="utf-8") == events_text(events, names)
 
 
 def test_successor_choices_are_balanced():

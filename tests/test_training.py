@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from arnn import tensor as T
 from arnn import training
-from arnn.batching import MiniBatch, SessionParallelIterator, negatives_for
+from arnn.batching import MiniBatch, SessionParallelIterator
 from arnn.data import FieldSchema, Session, SessionDataset
 from arnn.errors import ConfigError, DataError, NumericError, PrerequisiteError
 from arnn.models import (
@@ -26,6 +26,7 @@ from arnn.training import (
     top1_batch_loss,
     top1_loss,
 )
+from reference import negatives_for
 from util import assert_param_grads_match
 
 
@@ -261,24 +262,37 @@ def test_adagrad_sliced_step_allocates_no_table_sized_temporary():
     assert peak < table.value.nbytes
 
 
-def _sparse_and_dense_twins(rng):
-    """Two equal copies of a [6, 5] table, its [5, 7] projection and bias."""
-    values = (rng.normal(size=(6, 5)), rng.normal(size=(5, 7)), rng.normal(size=7))
+def _sparse_and_dense_twins(rng, n_rows, dim, n_cols):
+    """Two equal copies of a [n_rows, dim] table, its [dim, n_cols] projection and bias."""
+    values = (rng.normal(size=(n_rows, dim)), rng.normal(size=(dim, n_cols)),
+              rng.normal(size=n_cols))
     return [[T.Parameter(v.copy(), name) for v, name in zip(values, ("emb", "w", "b"))]
             for _ in range(2)]
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-6])
 def test_adagrad_sparse_step_bit_identical_to_dense(weight_decay):
+    _assert_sparse_steps_match_dense(6, 5, 7, weight_decay)
+
+
+def test_adagrad_decay_in_blocks_bit_identical_to_dense():
+    # the table: 3 blocks of whole rows and a partial one; the projection: a
+    # block per row; the bias: 2 blocks and a partial one
+    per_block = training.DECAY_BLOCK // 9
+    _assert_sparse_steps_match_dense(3 * per_block + 100, 9, 2 * training.DECAY_BLOCK + 5,
+                                     1e-6)
+
+
+def _assert_sparse_steps_match_dense(n_rows, dim, n_cols, weight_decay):
     # the same gradients, recorded as touched rows/columns on one copy and
     # as written everywhere (read through .grad) on the other
     rng = np.random.default_rng(3)
-    sparse, dense = _sparse_and_dense_twins(rng)
+    sparse, dense = _sparse_and_dense_twins(rng, n_rows, dim, n_cols)
     opt_s = Adagrad(sparse, learning_rate=0.3, weight_decay=weight_decay)
     opt_d = Adagrad(dense, learning_rate=0.3, weight_decay=weight_decay)
     for step in range(5):
-        rows = rng.integers(0, 6, size=4)  # repeats on purpose
-        cols = rng.integers(0, 7, size=3)
+        rows = rng.integers(0, n_rows, size=4)  # repeats on purpose
+        cols = rng.integers(0, n_cols, size=3)
         s = rng.normal(size=(4, 3))
 
         def loss(emb, w, b):
